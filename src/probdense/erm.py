@@ -171,10 +171,11 @@ def fit_kernel_ridge(data: Dataset, kernel, lam: float) -> RkhsFunction:
     """
     if not (np.isfinite(lam) and lam > 0.0):
         raise ValueError(f"lam must be positive, got {lam!r}")
-    K = gram_matrix(kernel, data.inputs)
+    A = gram_matrix(kernel, data.inputs)
     n = data.n
-    A = K + (n * lam) * np.eye(n)
-    jitter = 1e-12 * float(np.trace(K)) / n
+    jitter = 1e-12 * float(np.trace(A)) / n
+    diag = np.diag_indices(n)
+    A[diag] += n * lam
     attempt = 0
     while True:
         try:
@@ -185,7 +186,7 @@ def fit_kernel_ridge(data: Dataset, kernel, lam: float) -> RkhsFunction:
                 raise NumericalError(
                     f"Cholesky failed after {attempt} jitter escalations (n={n}, lam={lam!r})"
                 ) from None
-            A = A + jitter * np.eye(n)
+            A[diag] += jitter
             jitter *= 10.0
             attempt += 1
     alpha = cho_solve(factor, data.outputs, check_finite=False)

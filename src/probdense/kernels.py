@@ -1,8 +1,9 @@
 """Bounded positive definite kernels on R^d and on empirical measures.
 
 Point-level kernels (Gaussian RBF, compactly supported Wendland C^2) are
-evaluated through a shared squared-distance path so that k(x, y) == k(y, x)
-bitwise and Gram entries agree bitwise with pairwise evaluation.  On top of
+evaluated through one row-block path (``_blocks``) so that k(x, y) == k(y, x)
+bitwise, Gram entries agree bitwise with pairwise evaluation, and kernel
+expansions are evaluated without holding the full kernel matrix.  On top of
 them sits a measure-level Gaussian kernel: a Gaussian of the maximum mean
 discrepancy between two empirical measures.
 """
@@ -22,6 +23,7 @@ __all__ = [
     "EmpiricalMeasure",
     "eval_kernel",
     "gram_matrix",
+    "kernel_matvec",
     "sup_kernel_norm",
     "mmd_squared",
     "eval_measure_kernel",
@@ -30,10 +32,13 @@ __all__ = [
     "reset_mmd_clamp_count",
 ]
 
-# Row-chunk budget for pairwise evaluation, in scalar temporaries.  Keeps the
-# (rows, m, d) difference tensor near 128 MB; chunking is row-wise only, so
-# results are bitwise identical to the unchunked computation.
-_CHUNK_BUDGET = 1 << 24
+# Entries per evaluation block: a block is as many whole rows as keep its
+# (rows, m, d) coordinate differences within this count (2 MiB of float64),
+# and at least one row.  A call reuses the same few block-sized buffers for
+# every block, so evaluation memory is bounded by this size, never by the
+# number of points.  Blocks split rows only, so every entry is bitwise
+# independent of it.
+_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -46,8 +51,10 @@ class GaussianRBF:
         if not (np.isfinite(self.gamma) and self.gamma > 0.0):
             raise ValueError(f"gamma must be a positive finite real, got {self.gamma!r}")
 
-    def _from_sqdist(self, d2: np.ndarray) -> np.ndarray:
-        return np.exp(-d2 / (self.gamma * self.gamma))
+    def _transform(self, d2: np.ndarray, work: np.ndarray) -> None:
+        """Overwrite squared distances with exp(-d2 / gamma^2); work is unused."""
+        d2 /= -(self.gamma * self.gamma)
+        np.exp(d2, out=d2)
 
 
 @dataclass(frozen=True)
@@ -66,10 +73,16 @@ class WendlandC2:
                 f"support_radius must be a positive finite real, got {self.support_radius!r}"
             )
 
-    def _from_sqdist(self, d2: np.ndarray) -> np.ndarray:
-        r = np.sqrt(d2) / self.support_radius
-        base = np.maximum(0.0, 1.0 - r)
-        return base ** 4 * (4.0 * r + 1.0)
+    def _transform(self, d2: np.ndarray, work: np.ndarray) -> None:
+        """Overwrite squared distances with the kernel; work is same-shape scratch."""
+        r = np.sqrt(d2, out=d2)
+        r /= self.support_radius
+        base = np.subtract(1.0, r, out=work)
+        np.maximum(0.0, base, out=base)
+        np.power(base, 4, out=base)
+        r *= 4.0
+        r += 1.0
+        r *= base
 
 
 _POINT_KERNELS = (GaussianRBF, WendlandC2)
@@ -117,25 +130,81 @@ def _require_point_kernel(k) -> None:
         raise TypeError(f"unknown kernel type {type(k).__name__}")
 
 
-def pairwise(k, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Matrix of k(X[i], Y[j]) for a point-level kernel.
-
-    Entries are computed from explicit coordinate differences (never the
-    expanded dot-product identity), which makes the result exactly symmetric
-    when X is Y and bitwise consistent with single-pair evaluation.
-    """
+def _point_pair(k, X, Y) -> tuple[np.ndarray, np.ndarray]:
     _require_point_kernel(k)
     X = as_points(X, "X")
     Y = as_points(Y, "Y")
     if X.shape[1] != Y.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
-    n, m = X.shape[0], Y.shape[0]
-    out = np.empty((n, m), dtype=float)
-    rows = max(1, _CHUNK_BUDGET // max(1, m * X.shape[1]))
+    return X, Y
+
+
+def _blocks(k, X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None):
+    """Yield (rows, K[rows]) for consecutive row blocks of K[i, j] = k(X[i], Y[j]).
+
+    Each block is built in place from explicit coordinate differences (never
+    the expanded dot-product identity): subtract, square, sum over the
+    coordinate axis when d > 1, then the kernel's transform.  Blocks are
+    views of ``out`` when given, else of one scratch buffer that the next
+    block overwrites.
+    """
+    n, d = X.shape
+    m = Y.shape[0]
+    rows = min(n, max(1, _BLOCK_ENTRIES // (m * d)))
+    diff = np.empty((rows, m, d)) if d > 1 else None
+    scratch = np.empty((rows, m)) if out is None else None
+    work = np.empty((rows, m))
     for start in range(0, n, rows):
         stop = min(n, start + rows)
-        diff = X[start:stop, None, :] - Y[None, :, :]
-        out[start:stop] = k._from_sqdist((diff * diff).sum(axis=-1))
+        size = stop - start
+        block = scratch[:size] if out is None else out[start:stop]
+        if d == 1:
+            np.subtract(X[start:stop], Y.T, out=block)
+            np.multiply(block, block, out=block)
+        else:
+            t = diff[:size]
+            np.subtract(X[start:stop, None, :], Y[None, :, :], out=t)
+            np.multiply(t, t, out=t)
+            np.sum(t, axis=-1, out=block)
+        k._transform(block, work[:size])
+        yield slice(start, stop), block
+
+
+def _kernel_diag(k, n: int) -> np.ndarray:
+    """k(x, x) at n points: the kernel's transform of zero squared distances."""
+    diag = np.zeros(n)
+    k._transform(diag, np.empty(n))
+    return diag
+
+
+def pairwise(k, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Matrix of k(X[i], Y[j]) for a point-level kernel.
+
+    Filled block by block in place, which makes the result exactly symmetric
+    when X is Y and bitwise consistent with single-pair evaluation.
+    """
+    X, Y = _point_pair(k, X, Y)
+    out = np.empty((X.shape[0], Y.shape[0]))
+    for _ in _blocks(k, X, Y, out):
+        pass
+    return out
+
+
+def kernel_matvec(k, X, C, a) -> np.ndarray:
+    """pairwise(k, X, C) @ a without forming the (len(X), len(C)) matrix.
+
+    Each row block is multiplied by ``a`` as soon as it is built, so memory
+    stays bounded by the block size.  When all rows fit in one block the
+    result is bitwise equal to ``pairwise(k, X, C) @ a``; otherwise it agrees
+    up to the rounding of row-split BLAS products.
+    """
+    X, C = _point_pair(k, X, C)
+    a = np.asarray(a, dtype=float)
+    if a.shape != (C.shape[0],):
+        raise ValueError(f"a must have shape ({C.shape[0]},), got {a.shape}")
+    out = np.empty(X.shape[0])
+    for rows, block in _blocks(k, X, C):
+        np.matmul(block, a, out=out[rows])
     return out
 
 
@@ -169,8 +238,7 @@ def sup_kernel_norm(k, probe) -> float:
         return max(np.sqrt(eval_measure_kernel(k, p, p)) for p in measures)
     _require_point_kernel(k)
     X = as_points(probe, "probe")
-    diag = k._from_sqdist(np.zeros(X.shape[0]))
-    return float(np.sqrt(diag).max())
+    return float(np.sqrt(_kernel_diag(k, X.shape[0])).max())
 
 
 _mmd_clamp_count = 0

@@ -1,8 +1,9 @@
 """Finite representer-form RKHS functions and empirical L^p machinery.
 
 An RkhsFunction is a finite expansion f = sum_i alpha_i k(., x_i).  Its norm
-is sqrt(alpha' K alpha), and evaluation shares the pairwise kernel path, so
-evaluating f on its own centers agrees bitwise with K @ alpha.
+is sqrt(alpha' K alpha), and evaluation runs block by block through the
+pairwise kernel path, so evaluating f on its own centers agrees bitwise with
+K @ alpha when they fit in one block, and to BLAS rounding otherwise.
 """
 
 from __future__ import annotations
@@ -11,7 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import EmpiricalMeasure, _require_point_kernel, gram_matrix, pairwise
+from .kernels import (
+    EmpiricalMeasure,
+    _kernel_diag,
+    _require_point_kernel,
+    gram_matrix,
+    kernel_matvec,
+)
 from .util import NumericalError, as_points
 
 __all__ = [
@@ -50,7 +57,7 @@ class RkhsFunction:
         arr = np.asarray(x, dtype=float)
         single = arr.ndim == 1
         X = arr[None, :] if single else arr
-        values = pairwise(self.kernel, X, self.centers) @ self.coefficients
+        values = kernel_matvec(self.kernel, X, self.centers, self.coefficients)
         return float(values[0]) if single else values
 
 
@@ -101,8 +108,7 @@ def kernel_lp_norm(k, quad: QuadratureSpec) -> float:
     representer expansion.
     """
     _require_point_kernel(k)
-    atoms = quad.measure.atoms
-    diag = k._from_sqdist(np.zeros(atoms.shape[0]))
+    diag = _kernel_diag(k, quad.measure.atoms.shape[0])
     return float(np.dot(quad.measure.weights, diag ** (quad.p / 2.0)) ** (1.0 / quad.p))
 
 
@@ -119,7 +125,7 @@ def apply_integral_operator(k, g, quad: QuadratureSpec, x):
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
     X = arr[None, :] if single else arr
-    values = pairwise(k, X, atoms) @ (quad.measure.weights * gv)
+    values = kernel_matvec(k, X, atoms, quad.measure.weights * gv)
     return float(values[0]) if single else values
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probdense import (
     EmpiricalMeasure,
@@ -91,8 +93,49 @@ def test_row_chunking_does_not_change_results(monkeypatch):
     rng = np.random.default_rng(17)
     X = rng.normal(size=(150, 2))
     expected = gram_matrix(GaussianRBF(), X)
-    monkeypatch.setattr(kernels_mod, "_CHUNK_BUDGET", 64)
+    monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", 64)
     assert np.array_equal(gram_matrix(GaussianRBF(), X), expected)
+
+
+def _sqdist_formula(k, X, Y):
+    """Out-of-place reference: the kernel of ((X[:, None] - Y[None]) ** 2).sum(-1)."""
+    d2 = ((X[:, None, :] - Y[None, :, :]) ** 2).sum(-1)
+    if isinstance(k, GaussianRBF):
+        return np.exp(-d2 / (k.gamma * k.gamma))
+    r = np.sqrt(d2) / k.support_radius
+    base = np.maximum(0.0, 1.0 - r)
+    return base ** 4 * (4.0 * r + 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kernel=st.sampled_from([GaussianRBF(0.3), GaussianRBF(2.0), WendlandC2(0.8), WendlandC2(3.0)]),
+    d=st.sampled_from([1, 3]),
+    n=st.integers(1, 70),
+    m=st.integers(1, 40),
+    block=st.sampled_from([1, 7, 64, 200]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_evaluation_matches_formula(kernel, d, n, m, block, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    C = rng.normal(size=(m, d))
+    a = rng.normal(size=m)
+    expected = _sqdist_formula(kernel, X, C)
+    saved = kernels_mod._BLOCK_ENTRIES
+    kernels_mod._BLOCK_ENTRIES = block
+    try:
+        K = kernels_mod.pairwise(kernel, X, C)
+        fa = kernels_mod.kernel_matvec(kernel, X, C, a)
+    finally:
+        kernels_mod._BLOCK_ENTRIES = saved
+    assert np.array_equal(K, expected)
+    np.testing.assert_allclose(fa, K @ a, rtol=1e-12, atol=1e-12 * np.abs(a).sum())
+
+
+def test_kernel_matvec_checks_coefficient_shape():
+    with pytest.raises(ValueError, match="shape"):
+        kernels_mod.kernel_matvec(GaussianRBF(), np.zeros((3, 1)), np.zeros((2, 1)), np.zeros(3))
 
 
 @pytest.mark.parametrize("k", [GaussianRBF(0.5), WendlandC2(1.5)])

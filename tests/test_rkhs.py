@@ -1,5 +1,7 @@
 """Tests for representer expansions, norms, and the smoothing operator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,22 @@ def test_evaluating_on_centers_matches_gram_product_bitwise():
         f = random_expansion(rng, n=25, d=3, kernel=kernel)
         K = gram_matrix(kernel, f.centers)
         assert np.array_equal(f(f.centers), K @ f.coefficients)
+
+
+@pytest.mark.parametrize("kernel", [GaussianRBF(0.05), WendlandC2(0.1)])
+def test_evaluation_memory_is_bounded_by_the_block(kernel):
+    # the full 20000 x 2000 kernel matrix would take 305 MiB
+    rng = np.random.default_rng(3)
+    f = RkhsFunction(kernel, rng.uniform(0.0, 1.0, (2000, 1)), rng.normal(size=2000))
+    X = rng.uniform(0.0, 1.0, (20000, 1))
+    tracemalloc.start()
+    try:
+        values = f(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (20000,)
+    assert peak < 32 * 2**20
 
 
 def test_rkhs_norm_frozen_values():
