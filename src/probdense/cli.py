@@ -124,8 +124,7 @@ def _cmd_fit(args) -> int:
         detail = f"objective {info.objective:.6g} after {info.n_iters} iterations"
     else:
         fitted, info = fit_pairwise(data, job.kernel, job.loss, cfg, return_info=True)
-        state = "converged" if info.converged else "budget exhausted"
-        detail = f"objective {info.objective:.6g}, {state}, grad norm {info.grad_norm:.3g}"
+        detail = f"direct solve, objective {info.objective:.6g}"
     out = Path(args.out)
     d = fitted.centers.shape[1]
     header = ",".join([f"x{i}" for i in range(d)] + ["alpha"])

@@ -491,6 +491,8 @@ def parse_fit_config(path) -> FitJob:
 
     lam_raw, lam_line = _require(path, "fit", fit, "lambda")
     lam = _float(path, "lambda", lam_raw, lam_line, positive=True)
+    # max_iters, step_size0 and tol are read only by the subgradient solver,
+    # but accepted (and validated) for every solver
     max_iters = 1000
     if "max_iters" in fit:
         raw, lineno = fit["max_iters"]

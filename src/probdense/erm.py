@@ -1,14 +1,13 @@
 """Regularized empirical risk minimization in kernel span.
 
 Solvers return representer expansions over the training inputs: a direct
-kernel ridge solve, a subgradient method for convex Lipschitz losses, and
-gradient descent for the smooth pairwise ranking objective.  Clipping and
-the empirical risk functional round out the toolkit.
+kernel ridge solve, a subgradient method for convex Lipschitz losses, and a
+direct solve for the pairwise ranking objective, an exact quadratic.
+Clipping and the empirical risk functional round out the toolkit.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +32,6 @@ __all__ = [
     "ClippedFunction",
     "empirical_risk",
 ]
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +129,7 @@ class RankingSquaredLoss:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Iterative solver knobs: penalty weight, budget, step seed, tolerance."""
+    """Solver knobs: lam for every solver; max_iters, step_size0 and tol for fit_erm only."""
 
     lam: float
     max_iters: int = 1000
@@ -153,7 +150,7 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitInfo:
-    """Diagnostics for an iterative fit: best objective, iterations, exit state."""
+    """Fit diagnostics: objective, objective of alpha = 0, iterations, gradient norm, exit state."""
 
     objective: float
     objective_at_zero: float
@@ -162,20 +159,16 @@ class FitInfo:
     converged: bool
 
 
-def fit_kernel_ridge(data: Dataset, kernel, lam: float) -> RkhsFunction:
-    """Solve (K + n * lam * I) alpha = y and return the representer expansion.
+def _jittered_cholesky_solve(A: np.ndarray, shift: float, b: np.ndarray, lam: float) -> np.ndarray:
+    """Solve (A + shift * I) x = b by Cholesky, shifting A's diagonal in place.
 
-    Cholesky with escalating jitter: on factorization failure, add
-    1e-12 * trace(K) / n to the diagonal and retry with 10x the jitter,
-    at most three times, then raise NumericalError.
+    On factorization failure, add 1e-12 * trace(A) / n to the diagonal and
+    retry with 10x the jitter, at most three times, then raise NumericalError.
     """
-    if not (np.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"lam must be positive, got {lam!r}")
-    A = gram_matrix(kernel, data.inputs)
-    n = data.n
+    n = A.shape[0]
     jitter = 1e-12 * float(np.trace(A)) / n
     diag = np.diag_indices(n)
-    A[diag] += n * lam
+    A[diag] += shift
     attempt = 0
     while True:
         try:
@@ -189,7 +182,20 @@ def fit_kernel_ridge(data: Dataset, kernel, lam: float) -> RkhsFunction:
             A[diag] += jitter
             jitter *= 10.0
             attempt += 1
-    alpha = cho_solve(factor, data.outputs, check_finite=False)
+    return cho_solve(factor, b, check_finite=False)
+
+
+def fit_kernel_ridge(data: Dataset, kernel, lam: float) -> RkhsFunction:
+    """Solve (K + n * lam * I) alpha = y and return the representer expansion.
+
+    Cholesky with escalating jitter: on factorization failure, add
+    1e-12 * trace(K) / n to the diagonal and retry with 10x the jitter,
+    at most three times, then raise NumericalError.
+    """
+    if not (np.isfinite(lam) and lam > 0.0):
+        raise ValueError(f"lam must be positive, got {lam!r}")
+    A = gram_matrix(kernel, data.inputs)
+    alpha = _jittered_cholesky_solve(A, data.n * lam, data.outputs, lam)
     return RkhsFunction(kernel, data.inputs, alpha)
 
 
@@ -200,7 +206,9 @@ def fit_erm(
 
     Steps follow step_size0 / sqrt(t); the best iterate by objective is
     returned, starting the comparison at alpha = 0, so the result never
-    exceeds the objective of the zero function.
+    exceeds the objective of the zero function.  Two n x n matvecs per
+    iteration: fvals = K @ alpha serves the gradient's penalty term and the
+    objective's penalty alpha @ fvals.
     """
     K = gram_matrix(kernel, data.inputs)
     y = data.outputs
@@ -211,7 +219,7 @@ def fit_erm(
     def objective(a, fv):
         # overflow here is handled by the explicit finiteness check below
         with np.errstate(over="ignore", invalid="ignore"):
-            return float(np.mean(loss.values(y, fv)) + cfg.lam * (a @ (K @ a)))
+            return float(np.mean(loss.values(y, fv)) + cfg.lam * (a @ fv))
 
     best_alpha = alpha
     best_obj = obj_zero = objective(alpha, fvals)
@@ -219,7 +227,7 @@ def fit_erm(
     iters_run = 0
     for t in range(1, cfg.max_iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            grad = (K @ loss.subgradient(y, fvals)) / n + (2.0 * cfg.lam) * (K @ alpha)
+            grad = (K @ loss.subgradient(y, fvals)) / n + (2.0 * cfg.lam) * fvals
             grad_norm = float(np.linalg.norm(grad))
             if grad_norm <= cfg.tol:
                 break
@@ -242,68 +250,50 @@ def fit_erm(
     return result, FitInfo(best_obj, obj_zero, iters_run, grad_norm, grad_norm <= cfg.tol)
 
 
+def _centre(v: np.ndarray) -> np.ndarray:
+    """P v for the centring matrix P; shifting by v[0] first centres constant v to exact zeros."""
+    c = v - v[0]
+    c -= c.mean()
+    return c
+
+
 def fit_pairwise(
     data: Dataset, kernel, loss: RankingSquaredLoss, cfg: FitConfig, return_info: bool = False
 ) -> RkhsFunction | tuple[RkhsFunction, FitInfo]:
-    """Gradient descent for the mean pairwise ranking objective.
+    """Exact minimiser of the mean pairwise ranking objective.
 
-    (1/n^2) sum_ij ((y_i - y_j) - (f(x_i) - f(x_j)))^2 + lam * ||f||_H^2,
-    smooth in alpha.  Each step starts from step_size0 and Armijo-backtracks
-    until the objective decreases, so divergence cannot occur; stops when the
-    gradient norm falls below tol or the iteration budget runs out.
+    (1/n^2) sum_ij ((y_i - y_j) - (f(x_i) - f(x_j)))^2 + lam * ||f||_H^2
+    equals (2/n) ||P (y - K alpha)||^2 + lam * alpha' K alpha, P = I - 11'/n,
+    a quadratic minimised by (P K P + (n lam / 2) I) alpha = P y.  That
+    system is positive definite and is solved on the ridge solver's jittered
+    Cholesky path; its solution sums to zero, so it also solves
+    ((2/n) P K + lam I) alpha = (2/n) P y.  FitInfo reports n_iters = 0,
+    converged = True and the gradient norm at the solution; cfg supplies
+    only lam.
     """
     if not isinstance(loss, RankingSquaredLoss):
         raise TypeError("fit_pairwise requires RankingSquaredLoss")
     if data.n < 2:
         raise ValueError("pairwise fitting needs at least 2 observations")
     K = gram_matrix(kernel, data.inputs)
-    y = data.outputs
     n = data.n
-
-    def objective_parts(a):
-        # overflow produces inf/nan, rejected by the finiteness checks below
-        with np.errstate(over="ignore", invalid="ignore"):
-            fv = K @ a
-            r = (y[:, None] - y[None, :]) - (fv[:, None] - fv[None, :])
-            obj = float((r * r).sum() / (n * n) + cfg.lam * (a @ (K @ a)))
-            grad_f = (-4.0 / (n * n)) * r.sum(axis=1)
-            grad = K @ (grad_f + 2.0 * cfg.lam * a)
-        return obj, grad
-
-    alpha = np.zeros(n)
-    obj, grad = objective_parts(alpha)
-    if not np.isfinite(obj):
-        raise NumericalError("objective non-finite at alpha = 0")
-    obj_zero = obj
-    best_alpha, best_obj = alpha, obj
-    grad_norm = float(np.linalg.norm(grad))
-    iters_run = 0
-    converged = grad_norm <= cfg.tol
-    for t in range(1, cfg.max_iters + 1):
-        if converged:
-            break
-        step = cfg.step_size0
-        for _ in range(40):
-            trial = alpha - step * grad
-            trial_obj, trial_grad = objective_parts(trial)
-            if np.isfinite(trial_obj) and trial_obj <= obj - 1e-4 * step * grad_norm**2:
-                break
-            step *= 0.5
-        else:
-            # no decrease found at any step: numerically stationary
-            break
-        alpha, obj, grad = trial, trial_obj, trial_grad
-        grad_norm = float(np.linalg.norm(grad))
-        iters_run = t
-        if obj < best_obj:
-            best_alpha, best_obj = alpha, obj
-        converged = grad_norm <= cfg.tol
-    if not converged:
-        log.debug("fit_pairwise stopped at iteration %d with grad norm %.3e", iters_run, grad_norm)
-    result = RkhsFunction(kernel, data.inputs, best_alpha)
+    lam = cfg.lam
+    # P K P = K - m 1' - 1 m' + mean(m) for symmetric K with row means m
+    m = K.mean(axis=1)
+    A = K - m[:, None]
+    A -= m
+    A += m.mean()
+    yc = _centre(data.outputs)
+    alpha = _jittered_cholesky_solve(A, 0.5 * n * lam, yc, lam)
+    del A
+    result = RkhsFunction(kernel, data.inputs, alpha)
     if not return_info:
         return result
-    return result, FitInfo(best_obj, obj_zero, iters_run, grad_norm, converged)
+    fvals = K @ alpha
+    pr = yc - _centre(fvals)
+    objective = float((2.0 / n) * (pr @ pr) + lam * (alpha @ fvals))
+    grad_norm = float(np.linalg.norm(K @ (2.0 * lam * alpha - (4.0 / n) * pr)))
+    return result, FitInfo(objective, float((2.0 / n) * (yc @ yc)), 0, grad_norm, True)
 
 
 @dataclass(frozen=True, eq=False)

@@ -289,6 +289,18 @@ def test_cli_fit_ridge_end_to_end(tmp_path, capsys):
     assert "seed = 0\n" in manifest
 
 
+def test_cli_fit_pairwise_reports_direct_solve(tmp_path, capsys):
+    # the subgradient knobs stay accepted for every solver; the direct solve ignores them
+    data = tmp_path / "d.csv"
+    data.write_text("0.0,1.0\n0.5,0.2\n1.0,2.0\n")
+    extra = "max_iters = 500\nstep_size0 = 1.0\ntol = 1e-6\n"
+    cfg = write(tmp_path, FIT_BASE.format(data=data, loss="ranking_squared", extra=extra))
+    assert run_cli("fit", "--config", str(cfg), "--out", str(tmp_path / "fit.csv")) == 0
+    out = capsys.readouterr().out
+    assert "(pairwise: direct solve, objective " in out
+    assert "budget" not in out and "grad norm" not in out
+
+
 def test_cli_kernel_eval(tmp_path, capsys):
     cfg = write(tmp_path, "[kernel]\ngamma = 1.0\n[points]\npoints = 0.0 ; 1.0\n")
     out = tmp_path / "gram.csv"

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from probdense import (
     AbsoluteLoss,
     Dataset,
     FitConfig,
+    FitInfo,
     GaussianRBF,
     NumericalError,
     PinballLoss,
@@ -19,6 +23,7 @@ from probdense import (
     fit_kernel_ridge,
     fit_pairwise,
     gram_matrix,
+    WendlandC2,
 )
 from probdense import erm as erm_mod
 
@@ -161,6 +166,76 @@ def test_ridge_raises_after_jitter_escalation(monkeypatch):
         fit_kernel_ridge(data, GaussianRBF(), 0.5)
 
 
+def _ridge_reference(data, kernel, lam, factorize=cho_factor):
+    """fit_kernel_ridge's coefficients as computed by its own inline jitter loop."""
+    A = gram_matrix(kernel, data.inputs)
+    n = data.n
+    jitter = 1e-12 * float(np.trace(A)) / n
+    diag = np.diag_indices(n)
+    A[diag] += n * lam
+    attempt = 0
+    while True:
+        try:
+            factor = factorize(A, lower=True, check_finite=False)
+            break
+        except np.linalg.LinAlgError:
+            assert attempt < 3
+            A[diag] += jitter
+            jitter *= 10.0
+            attempt += 1
+    return cho_solve(factor, data.outputs, check_finite=False)
+
+
+def _counting_cho_factor(failures, forced=0):
+    """cho_factor that fails its first `forced` calls and counts every failure."""
+
+    def factorize(A, **kw):
+        try:
+            if failures["calls"] < forced:
+                raise np.linalg.LinAlgError("forced")
+            return cho_factor(A, **kw)
+        except np.linalg.LinAlgError:
+            failures["n"] += 1
+            raise
+        finally:
+            failures["calls"] += 1
+
+    return factorize
+
+
+def test_ridge_shared_cholesky_path_is_bitwise_unchanged(monkeypatch):
+    rng = np.random.default_rng(53)
+    data, kernel = separated_problem(rng, 60)
+    failures = {"n": 0, "calls": 0}
+    monkeypatch.setattr(erm_mod, "cho_factor", _counting_cho_factor(failures))
+    f = fit_kernel_ridge(data, kernel, 1e-3)
+    assert np.array_equal(f.coefficients, _ridge_reference(data, kernel, 1e-3))
+    assert failures["n"] == 0
+    # duplicated inputs and a penalty below rounding: singular, so the jitter retries
+    x = np.repeat(rng.uniform(0, 1, 4), 3)
+    dup = Dataset(x[:, None], rng.normal(size=x.size))
+    f = fit_kernel_ridge(dup, GaussianRBF(0.5), 1e-300)
+    assert failures["n"] >= 1
+    assert np.array_equal(f.coefficients, _ridge_reference(dup, GaussianRBF(0.5), 1e-300))
+    # two forced retries at a penalty that moves trace(A): jitter comes from trace(K)
+    failures = {"n": 0, "calls": 0}
+    monkeypatch.setattr(erm_mod, "cho_factor", _counting_cho_factor(failures, forced=2))
+    f = fit_kernel_ridge(data, kernel, 0.05)
+    assert failures["n"] == 2
+    forced = _counting_cho_factor({"n": 0, "calls": 0}, forced=2)
+    assert np.array_equal(f.coefficients, _ridge_reference(data, kernel, 0.05, forced))
+
+
+def test_ridge_failure_message_names_n_and_lambda(monkeypatch):
+    def always_fail(A, **kw):
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(erm_mod, "cho_factor", always_fail)
+    data = Dataset(np.array([[0.0], [1.0]]), np.array([1.0, 2.0]))
+    with pytest.raises(NumericalError, match=r"3 jitter escalations \(n=2, lam=0\.5\)"):
+        fit_kernel_ridge(data, GaussianRBF(), 0.5)
+
+
 def test_subgradient_zero_data_stays_at_zero():
     rng = np.random.default_rng(17)
     data = Dataset(rng.normal(size=(10, 1)), np.zeros(10))
@@ -215,6 +290,46 @@ def test_subgradient_divergence_raises():
         fit_erm(data, GaussianRBF(0.5), AbsoluteLoss(), cfg)
 
 
+def _four_matvec_subgradient(data, kernel, loss, cfg):
+    """fit_erm as first written: K @ alpha recomputed for the gradient, fvals and the penalty."""
+    K = gram_matrix(kernel, data.inputs)
+    y, n = data.outputs, data.n
+    alpha = np.zeros(n)
+    fvals = np.zeros(n)
+
+    def objective(a, fv):
+        return float(np.mean(loss.values(y, fv)) + cfg.lam * (a @ (K @ a)))
+
+    best_alpha = alpha
+    best_obj = obj_zero = objective(alpha, fvals)
+    grad_norm = np.inf
+    iters_run = 0
+    for t in range(1, cfg.max_iters + 1):
+        grad = (K @ loss.subgradient(y, fvals)) / n + (2.0 * cfg.lam) * (K @ alpha)
+        grad_norm = float(np.linalg.norm(grad))
+        if grad_norm <= cfg.tol:
+            break
+        alpha = alpha - cfg.step_size0 / np.sqrt(t) * grad
+        fvals = K @ alpha
+        obj = objective(alpha, fvals)
+        if obj < best_obj:
+            best_obj, best_alpha = obj, alpha
+        iters_run = t
+    return best_alpha, FitInfo(best_obj, obj_zero, iters_run, grad_norm, grad_norm <= cfg.tol)
+
+
+@pytest.mark.parametrize("loss", [PinballLoss(0.9), AbsoluteLoss(), SquaredLoss()])
+def test_subgradient_reuses_fvals_bitwise(loss):
+    rng = np.random.default_rng(59)
+    x = rng.uniform(0, 1, 80)
+    data = Dataset(x[:, None], np.sin(2 * np.pi * x) + 0.3 * rng.normal(size=80))
+    cfg = FitConfig(1e-3, max_iters=300, step_size0=0.5)
+    f, info = fit_erm(data, GaussianRBF(0.2), loss, cfg, return_info=True)
+    alpha, expected = _four_matvec_subgradient(data, GaussianRBF(0.2), loss, cfg)
+    assert np.array_equal(f.coefficients, alpha)
+    assert info == expected
+
+
 def test_pairwise_equal_outputs_stay_at_zero():
     data = Dataset(np.array([[0.0], [0.5], [1.0]]), np.full(3, 2.0))
     f, info = fit_pairwise(
@@ -247,6 +362,63 @@ def test_pairwise_rejects_wrong_loss_and_tiny_datasets():
     single = Dataset(np.array([[0.0]]), np.array([1.0]))
     with pytest.raises(ValueError):
         fit_pairwise(single, GaussianRBF(), RankingSquaredLoss(), FitConfig(0.1))
+
+
+def _pairwise_objective(data, kernel, lam, a):
+    """The ranking objective by its O(n^2) definition over all pairs."""
+    K = gram_matrix(kernel, data.inputs)
+    y, f = data.outputs, K @ a
+    pairs = RankingSquaredLoss().pair_values(y[:, None] - y[None, :], f[:, None] - f[None, :])
+    return float(pairs.mean() + lam * (a @ f))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=40),
+    data=st.data(),
+    kernel=st.sampled_from([GaussianRBF(0.1), GaussianRBF(1.0), WendlandC2(0.5), WendlandC2(3.0)]),
+    lam=st.floats(-4.0, 0.0).map(lambda e: 10.0**e),
+    shift=st.floats(-10.0, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pairwise_fit_is_the_exact_minimiser(x, data, kernel, lam, shift, seed):
+    n = len(x)
+    y = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
+    X = np.array(x)[:, None]
+    sample = Dataset(X, y)
+    f, info = fit_pairwise(sample, kernel, RankingSquaredLoss(), FitConfig(lam), return_info=True)
+    a = f.coefficients
+    assert (info.n_iters, info.converged) == (0, True)
+    K = gram_matrix(kernel, X)
+    P = np.eye(n) - 1.0 / n
+    # rounding-level bounds, with a floor at the underflow threshold for subnormal outputs
+    tiny = 1e-300
+    scale = 2.0 * np.abs(a).sum() + lam * np.abs(a).max() + 2.0 * np.abs(y).max()
+    stationarity = ((2.0 / n) * P @ K + lam * np.eye(n)) @ a - (2.0 / n) * P @ y
+    assert np.abs(stationarity).max() <= 1e-12 * scale + tiny
+    # the gradient is 2 K (lam alpha - (2/n) P r), so the residual's bound times ||K|| <= n
+    assert info.grad_norm <= 2e-12 * n**1.5 * scale + tiny
+    assert abs(a.sum()) <= 1e-12 * (np.abs(a).sum() + np.abs(y).sum() / (n * lam)) + tiny
+    shifted = fit_pairwise(Dataset(X, y + shift), kernel, RankingSquaredLoss(), FitConfig(lam))
+    atol = 1e-11 * (np.abs(y).max() + abs(shift)) / lam + tiny
+    np.testing.assert_allclose(shifted.coefficients, a, rtol=0, atol=atol)
+    obj = _pairwise_objective(sample, kernel, lam, a)
+    assert obj == pytest.approx(info.objective, rel=1e-10, abs=tiny)
+    assert info.objective <= info.objective_at_zero * (1.0 + 1e-10) + tiny
+    rng = np.random.default_rng(seed)
+    for size in (1e-6, 1e-3, 1.0):
+        perturbed = _pairwise_objective(sample, kernel, lam, a + size * rng.normal(size=n))
+        assert obj <= perturbed * (1.0 + 1e-10) + tiny
+
+
+@pytest.mark.parametrize("c", [2.0, 0.1, -3.7e5, 1e-300])
+def test_pairwise_constant_outputs_give_zero(c):
+    data = Dataset(np.linspace(0.0, 1.0, 7)[:, None], np.full(7, c))
+    f, info = fit_pairwise(
+        data, GaussianRBF(0.3), RankingSquaredLoss(), FitConfig(1e-3), return_info=True
+    )
+    assert np.array_equal(f.coefficients, np.zeros(7))
+    assert info.objective == 0.0 and info.objective_at_zero == 0.0 and info.grad_norm == 0.0
 
 
 def test_clip_pointwise_values():
