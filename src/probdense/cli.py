@@ -3,7 +3,8 @@
 Subcommands: kernel-eval, fit, study, validate-psi, report.  Every command
 reads one input named by --config, writes its results under --out (plus a
 ``<out>.manifest.txt`` beside it), and never writes anywhere else.  Exit
-codes: 0 success, 1 config error, 2 numerical failure, 3 I/O failure.
+codes: 0 success, 1 config error (command line usage errors included),
+2 numerical failure, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from .denseness import run_study
 from .erm import Dataset, fit_erm, fit_kernel_ridge, fit_pairwise
 from .kernels import gram_matrix, sup_kernel_norm
 from .metrics import validate_psi
-from .reporting import emit_report, manifest_path_for, read_report_csv, summarize_report
+from .reporting import _write_manifest, emit_report, read_report_csv, summarize_report
 from .rkhs import injectivity_probe
-from .util import ConfigError, NumericalError
+from .util import ConfigError, NumericalError, _fmt
 
 log = logging.getLogger(__name__)
 
@@ -53,7 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="input config file (CSV for 'report')")
         p.add_argument("--out", required=True, help="output file path")
-        p.add_argument("--seed", type=int, default=None, help="override the configured seed")
+        if name == "study":
+            p.add_argument("--seed", type=int, default=None, help="override the configured seed")
         p.add_argument(
             "-v",
             "--verbose",
@@ -66,21 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _write_manifest(out_path, seed, seed_source, config_sha, extra=()):
-    lines = [
-        f"seed = {'none' if seed is None else seed}",
-        f"seed_source = {seed_source}",
-        f"config_sha256 = {config_sha}",
-        f"library_version = {__version__}",
-        *extra,
-    ]
-    manifest_path_for(out_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
 
 
 def _cmd_study(args) -> int:
@@ -113,8 +100,6 @@ def _load_dataset(path) -> Dataset:
 def _cmd_fit(args) -> int:
     job = parse_fit_config(args.config)
     cfg = job.fit_config
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
     data = _load_dataset(job.data_path)
     if job.solver == "ridge":
         fitted = fit_kernel_ridge(data, job.kernel, cfg.lam)
@@ -133,13 +118,8 @@ def _cmd_fit(args) -> int:
         for i in range(fitted.centers.shape[0])
     ]
     out.write_text(header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
-    _write_manifest(
-        args.out,
-        cfg.seed,
-        "override" if args.seed is not None else "config",
-        _config_sha256(args.config),
-        (f"solver = {job.solver}",),
-    )
+    sha = _config_sha256(args.config)
+    _write_manifest(args.out, None, "config", sha, (f"solver = {job.solver}",))
     print(f"wrote {args.out} ({job.solver}: {detail})")
     return 0
 
@@ -200,7 +180,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of a numerical failure here
+        if exc.code != 2:
+            raise
+        return 1
     level = logging.WARNING
     if args.verbose == 1:
         level = logging.INFO

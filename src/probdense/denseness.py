@@ -19,8 +19,8 @@ import numpy as np
 from scipy.stats import truncnorm
 
 from .erm import AbsoluteLoss, Dataset, empirical_risk, fit_kernel_ridge
-from .kernels import GaussianRBF, WendlandC2
-from .metrics import CappedPsi, PairedSample, RatioPsi, TabulatedPsi, ky_fan_metric, psi_metric
+from .kernels import _KERNEL_FAMILIES
+from .metrics import _PSI_KINDS, CappedPsi, PairedSample, ky_fan_metric, psi_metric
 from .util import NumericalError, as_points, derive_rng
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "PiecewiseConstant",
     "SignStep",
     "SineWave",
-    "make_target",
     "uniform_sampler",
     "truncated_gaussian_sampler",
     "StudyConfig",
@@ -172,14 +171,15 @@ class SineWave:
         return np.sin(2.0 * np.pi * self.frequency * _domain_values(x, self.domain))
 
 
-_TARGETS = (IntervalIndicator, PiecewiseConstant, SignStep, SineWave)
-
-
-def make_target(target):
-    """Validate a target description and return its evaluation handle."""
-    if not isinstance(target, _TARGETS):
-        raise TypeError(f"unknown target type {type(target).__name__}")
-    return target
+# the one list of target names (-> class) and of sampler names; StudyConfig
+# and the config parser both read them
+_TARGETS = {
+    "indicator": IntervalIndicator,
+    "piecewise": PiecewiseConstant,
+    "sign": SignStep,
+    "sine": SineWave,
+}
+_SAMPLERS = ("uniform", "truncated_gaussian")
 
 
 def uniform_sampler(domain):
@@ -192,11 +192,8 @@ def uniform_sampler(domain):
     return sample
 
 
-def truncated_gaussian_sampler(domain, center: float | None = None, scale: float | None = None):
-    """Sampler drawing from a Gaussian truncated to the domain interval.
-
-    Defaults: center at the midpoint, scale a quarter of the interval width.
-    """
+def _gaussian_params(domain, center, scale):
+    """(low, high, center, scale) of a truncated Gaussian sampler, defaults filled in, checked."""
     low, high = _check_domain(domain)
     c = 0.5 * (low + high) if center is None else float(center)
     s = 0.25 * (high - low) if scale is None else float(scale)
@@ -204,17 +201,21 @@ def truncated_gaussian_sampler(domain, center: float | None = None, scale: float
         raise ValueError(f"center {c!r} outside domain [{low}, {high}]")
     if not (np.isfinite(s) and s > 0.0):
         raise ValueError(f"scale must be positive, got {s!r}")
+    return low, high, c, s
+
+
+def truncated_gaussian_sampler(domain, center: float | None = None, scale: float | None = None):
+    """Sampler drawing from a Gaussian truncated to the domain interval.
+
+    Defaults: center at the midpoint, scale a quarter of the interval width.
+    """
+    low, high, c, s = _gaussian_params(domain, center, scale)
     a, b = (low - c) / s, (high - c) / s
 
     def sample(rng: np.random.Generator, n: int) -> np.ndarray:
         return truncnorm.rvs(a, b, loc=c, scale=s, size=(n, 1), random_state=rng)
 
     return sample
-
-
-_SAMPLER_KINDS = ("uniform", "truncated_gaussian")
-_KERNEL_FAMILIES = ("gaussian_rbf", "wendland_c2")
-_PSI_KINDS = (RatioPsi, CappedPsi, TabulatedPsi)
 
 
 @dataclass(frozen=True)
@@ -242,7 +243,9 @@ class StudyConfig:
     sampler_scale: float | None = None
 
     def __post_init__(self):
-        make_target(self.target)
+        if not isinstance(self.target, tuple(_TARGETS.values())):
+            name = type(self.target).__name__
+            raise ValueError(f"target must be one of the target types, got {name}")
         sizes = tuple(int(n) for n in self.sample_sizes)
         if not sizes or any(n < 1 for n in sizes):
             raise ValueError(f"sample_sizes must be positive ints, got {self.sample_sizes!r}")
@@ -254,13 +257,14 @@ class StudyConfig:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if self.kernel_family not in _KERNEL_FAMILIES:
             raise ValueError(
-                f"kernel_family must be one of {_KERNEL_FAMILIES}, got {self.kernel_family!r}"
+                f"kernel_family must be one of {tuple(_KERNEL_FAMILIES)}, "
+                f"got {self.kernel_family!r}"
             )
         if not (np.isfinite(self.gamma_coeff) and self.gamma_coeff > 0.0):
             raise ValueError(f"gamma_coeff must be positive, got {self.gamma_coeff!r}")
         if not (np.isfinite(self.lambda_coeff) and self.lambda_coeff > 0.0):
             raise ValueError(f"lambda_coeff must be positive, got {self.lambda_coeff!r}")
-        if not isinstance(self.psi, _PSI_KINDS):
+        if not isinstance(self.psi, tuple(_PSI_KINDS.values())):
             raise ValueError(f"psi must be a psi transform, got {type(self.psi).__name__}")
         size = 10 * max(sizes) if self.eval_sample_size is None else int(self.eval_sample_size)
         if size < 1:
@@ -268,8 +272,18 @@ class StudyConfig:
         object.__setattr__(self, "eval_sample_size", size)
         if self.grid_resolution < 2:
             raise ValueError(f"grid_resolution must be >= 2, got {self.grid_resolution}")
-        if self.sampler not in _SAMPLER_KINDS:
-            raise ValueError(f"sampler must be one of {_SAMPLER_KINDS}, got {self.sampler!r}")
+        if self.sampler not in _SAMPLERS:
+            raise ValueError(f"sampler must be one of {_SAMPLERS}, got {self.sampler!r}")
+        if self.sampler == "truncated_gaussian":
+            try:
+                _gaussian_params(self.target.domain, self.sampler_center, self.sampler_scale)
+            except ValueError as exc:
+                # name the fields: "center ..." becomes "sampler_center ..."
+                raise ValueError(f"sampler_{exc}") from None
+        elif self.sampler_center is not None or self.sampler_scale is not None:
+            raise ValueError(
+                "sampler_center and sampler_scale apply only to sampler = truncated_gaussian"
+            )
 
     def bandwidth_for(self, n: int) -> float:
         return self.gamma_coeff * float(n) ** _SCHEDULE_EXPONENT
@@ -278,10 +292,8 @@ class StudyConfig:
         return self.lambda_coeff / float(n)
 
     def kernel_for(self, n: int):
-        bw = self.bandwidth_for(n)
-        if self.kernel_family == "gaussian_rbf":
-            return GaussianRBF(gamma=bw)
-        return WendlandC2(support_radius=bw)
+        # the bandwidth is each family's one field: gamma or support_radius
+        return _KERNEL_FAMILIES[self.kernel_family](self.bandwidth_for(n))
 
     def build_sampler(self):
         if self.sampler == "uniform":
@@ -295,9 +307,9 @@ class StudyConfig:
 class StudyCell:
     """Metrics for one (n, replicate) pair.
 
-    wall_time_s is reserved and always 0.0: reports must be byte-identical
-    across runs with the same seed, which a measured clock value can never
-    be.  Real per-cell timings are written to the log at INFO level.
+    No timing is kept: reports must be byte-identical across runs with the
+    same seed, which a measured clock value can never be.  Per-cell timings
+    are written to the log at INFO level.
     """
 
     n: int
@@ -307,7 +319,6 @@ class StudyCell:
     sup_gap: float
     l1_gap: float
     risk_gap: float
-    wall_time_s: float = 0.0
     error: str | None = None
 
 
@@ -325,10 +336,8 @@ class ConvergenceReport:
 
 def fit_approximant(target, n: int, kernel, lam: float, sampler, rng) -> object:
     """Draw n training points, label them with the target, fit kernel ridge."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
     X = sampler(rng, int(n))
-    y = make_target(target)(X)
+    y = target(X)
     return fit_kernel_ridge(Dataset(X, y), kernel, lam)
 
 
@@ -363,7 +372,7 @@ def run_study(cfg: StudyConfig) -> ConvergenceReport:
     is recorded on that cell and the run continues.  Deterministic given
     cfg.seed.
     """
-    target = make_target(cfg.target)
+    target = cfg.target
     sampler = cfg.build_sampler()
     loss = AbsoluteLoss()
     cells = []
@@ -399,7 +408,7 @@ def run_study(cfg: StudyConfig) -> ConvergenceReport:
             except (NumericalError, np.linalg.LinAlgError) as exc:
                 log.warning("cell (n=%d, replicate=%d) failed: %s", n, rep, exc)
                 nan = float("nan")
-                cell = StudyCell(n, rep, nan, nan, nan, nan, nan, 0.0, str(exc))
+                cell = StudyCell(n, rep, nan, nan, nan, nan, nan, str(exc))
             log.info(
                 "cell n=%d replicate=%d done in %.3fs%s",
                 n,

@@ -127,6 +127,15 @@ class RankingSquaredLoss:
         return r * r
 
 
+# loss name -> (class, default solver, solvers that minimise it)
+_LOSSES = {
+    "squared": (SquaredLoss, "ridge", ("ridge", "subgradient")),
+    "absolute": (AbsoluteLoss, "subgradient", ("subgradient",)),
+    "pinball": (PinballLoss, "subgradient", ("subgradient",)),
+    "ranking_squared": (RankingSquaredLoss, "pairwise", ("pairwise",)),
+}
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Solver knobs: lam for every solver; max_iters, step_size0 and tol for fit_erm only."""
@@ -135,7 +144,6 @@ class FitConfig:
     max_iters: int = 1000
     step_size0: float = 1.0
     tol: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self):
         if not (np.isfinite(self.lam) and self.lam > 0.0):

@@ -85,7 +85,9 @@ class WendlandC2:
         r *= base
 
 
-_POINT_KERNELS = (GaussianRBF, WendlandC2)
+# family name -> class; the config parser and StudyConfig read this one list
+_KERNEL_FAMILIES = {"gaussian_rbf": GaussianRBF, "wendland_c2": WendlandC2}
+_POINT_KERNELS = tuple(_KERNEL_FAMILIES.values())
 
 
 @dataclass(frozen=True)
@@ -226,16 +228,7 @@ def gram_matrix(k, pts) -> np.ndarray:
 
 
 def sup_kernel_norm(k, probe) -> float:
-    """Largest sqrt(k(x, x)) over a finite probe set.
-
-    For a measure-level kernel the probe is a sequence of empirical measures
-    and the result is 1 (the kernel of a measure with itself is exp(0)).
-    """
-    if isinstance(k, MeasureGaussian):
-        measures = list(probe)
-        if not measures:
-            raise ValueError("probe must be nonempty")
-        return max(np.sqrt(eval_measure_kernel(k, p, p)) for p in measures)
+    """Largest sqrt(k(x, x)) over a finite probe set, for a point-level kernel."""
     _require_point_kernel(k)
     X = as_points(probe, "probe")
     return float(np.sqrt(_kernel_diag(k, X.shape[0])).max())
@@ -254,28 +247,24 @@ def reset_mmd_clamp_count() -> None:
     _mmd_clamp_count = 0
 
 
-def _quad(w: np.ndarray, K: np.ndarray, v: np.ndarray) -> float:
-    return float(np.dot(np.dot(w, K), v))
-
-
 def mmd_squared(base, p: EmpiricalMeasure, q: EmpiricalMeasure) -> float:
     """Squared maximum mean discrepancy between two empirical measures.
 
     sum_ij w_i w_j k(x_i, x_j) + sum_ij v_i v_j k(y_i, y_j)
         - 2 sum_ij w_i v_j k(x_i, y_j)
 
-    Nonnegative up to roundoff; tiny negative values are clamped to 0 and
-    counted, magnitudes below -1e-8 raise NumericalError.  When p and q hold
-    identical arrays all three terms share one arithmetic path, so the result
-    is exactly 0.
+    Each term is w @ kernel_matvec(...), so memory is bounded by the
+    evaluation block, not by the number of atoms.  Nonnegative up to
+    roundoff; tiny negative values are clamped to 0 and counted, magnitudes
+    below -1e-8 raise NumericalError.  When p and q hold identical arrays all
+    three terms share one arithmetic path, so the result is exactly 0.
     """
     global _mmd_clamp_count
-    _require_point_kernel(base)
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    kxx = _quad(p.weights, pairwise(base, p.atoms, p.atoms), p.weights)
-    kyy = _quad(q.weights, pairwise(base, q.atoms, q.atoms), q.weights)
-    kxy = _quad(p.weights, pairwise(base, p.atoms, q.atoms), q.weights)
+    kxx = float(p.weights @ kernel_matvec(base, p.atoms, p.atoms, p.weights))
+    kyy = float(q.weights @ kernel_matvec(base, q.atoms, q.atoms, q.weights))
+    kxy = float(p.weights @ kernel_matvec(base, p.atoms, q.atoms, q.weights))
     value = (kxx + kyy) - 2.0 * kxy
     if value < 0.0:
         if value < -1e-8:

@@ -75,6 +75,10 @@ class TabulatedPsi:
         return np.interp(x, self.grid_x, self.grid_y)
 
 
+# psi kind name -> class; the config parser and StudyConfig read this one list
+_PSI_KINDS = {"ratio": RatioPsi, "capped": CappedPsi, "custom": TabulatedPsi}
+
+
 def apply_psi(psi, x):
     """Evaluate psi on nonnegative distances, clamped into [0, 1]."""
     arr = np.asarray(x, dtype=float)
@@ -99,6 +103,15 @@ class PsiValidationReport:
         return "psi axioms: FAIL\n" + "\n".join(f"  - {msg}" for msg in self.failures)
 
 
+def _psi_grid(grid_max: float, grid_n: int) -> np.ndarray:
+    """The grid_n evenly spaced points of [0, grid_max] that validate_psi checks."""
+    if not (np.isfinite(grid_max) and grid_max > 0.0):
+        raise ValueError(f"grid_max must be positive, got {grid_max!r}")
+    if grid_n < 2:
+        raise ValueError(f"grid_n must be >= 2, got {grid_n}")
+    return np.linspace(0.0, grid_max, grid_n)
+
+
 def validate_psi(psi, grid_max: float = 10.0, grid_n: int = 1000) -> PsiValidationReport:
     """Check the psi axioms numerically on [0, grid_max].
 
@@ -107,11 +120,7 @@ def validate_psi(psi, grid_max: float = 10.0, grid_n: int = 1000) -> PsiValidati
     psi(a + b) <= psi(a) + psi(b) over all grid pairs.  Violations are
     reported, not raised.
     """
-    if not (np.isfinite(grid_max) and grid_max > 0.0):
-        raise ValueError(f"grid_max must be positive, got {grid_max!r}")
-    if grid_n < 2:
-        raise ValueError(f"grid_n must be >= 2, got {grid_n}")
-    grid = np.linspace(0.0, grid_max, grid_n)
+    grid = _psi_grid(grid_max, grid_n)
     y = np.asarray(psi.raw(grid), dtype=float)
     r = lambda v: repr(float(v))
     failures = []

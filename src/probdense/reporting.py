@@ -19,19 +19,23 @@ from pathlib import Path
 from . import __version__
 from .config import format_study_config
 from .denseness import ConvergenceReport
-from .util import ConfigError
+from .util import ConfigError, _fmt
 
-__all__ = ["emit_report", "manifest_path_for", "read_report_csv", "summarize_report", "ReportRow"]
+__all__ = ["emit_report", "read_report_csv", "summarize_report", "ReportRow"]
 
-CSV_HEADER = ["n", "replicate", "d_psi", "ky_fan", "sup_gap", "l1_gap", "risk_gap", "wall_time_s"]
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
+CSV_HEADER = ["n", "replicate", "d_psi", "ky_fan", "sup_gap", "l1_gap", "risk_gap"]
 
 
-def manifest_path_for(out_path) -> Path:
-    return Path(str(out_path) + ".manifest.txt")
+def _write_manifest(out_path, seed, seed_source: str, config_sha256: str, extra=()) -> None:
+    """Write ``<out_path>.manifest.txt``: seed, its source, config hash, version, extra lines."""
+    lines = [
+        f"seed = {'none' if seed is None else seed}",
+        f"seed_source = {seed_source}",
+        f"config_sha256 = {config_sha256}",
+        f"library_version = {__version__}",
+        *extra,
+    ]
+    Path(str(out_path) + ".manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def emit_report(
@@ -63,20 +67,13 @@ def emit_report(
                     _fmt(c.sup_gap),
                     _fmt(c.l1_gap),
                     _fmt(c.risk_gap),
-                    _fmt(c.wall_time_s),
                 ]
             )
-    lines = [
-        f"seed = {report.config.seed}",
-        f"seed_source = {seed_source}",
-        f"config_sha256 = {config_sha256}",
-        f"library_version = {__version__}",
-        f"partial = {'true' if report.partial else 'false'}",
-    ]
+    lines = [f"partial = {'true' if report.partial else 'false'}"]
     for c in report.cells:
         if c.error is not None:
             lines.append(f"error_cell = n={c.n} replicate={c.replicate}: {c.error}")
-    manifest_path_for(out_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_manifest(out_path, report.config.seed, seed_source, config_sha256, lines)
 
 
 @dataclass(frozen=True)
@@ -90,7 +87,6 @@ class ReportRow:
     sup_gap: float
     l1_gap: float
     risk_gap: float
-    wall_time_s: float
 
 
 def read_report_csv(path) -> list:

@@ -24,7 +24,6 @@ from .util import NumericalError, as_points
 __all__ = [
     "RkhsFunction",
     "QuadratureSpec",
-    "eval_rkhs",
     "rkhs_norm",
     "lp_norm",
     "kernel_lp_norm",
@@ -71,11 +70,6 @@ class QuadratureSpec:
     def __post_init__(self):
         if not (np.isfinite(self.p) and self.p >= 1.0):
             raise ValueError(f"p must be a finite real >= 1, got {self.p!r}")
-
-
-def eval_rkhs(f: RkhsFunction, x):
-    """Evaluate a representer expansion at a point or an (m, d) batch."""
-    return f(x)
 
 
 def rkhs_norm(f: RkhsFunction) -> float:

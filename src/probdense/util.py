@@ -1,4 +1,4 @@
-"""Shared helpers: error types, seed derivation, array validation."""
+"""Shared helpers: error types, seed derivation, array validation, float text."""
 
 from __future__ import annotations
 
@@ -21,6 +21,11 @@ class NumericalError(RuntimeError):
 
 class ConfigError(ValueError):
     """A configuration file or parsed configuration is invalid."""
+
+
+def _fmt(value: float) -> str:
+    """Shortest round-trip text of a float, as written to every output file."""
+    return repr(float(value))
 
 
 def _tag_to_uint32(tag) -> int:

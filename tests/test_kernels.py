@@ -1,6 +1,7 @@
 """Tests for point-level and measure-level kernels."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,17 +235,35 @@ def test_mmd_clamp_counter_and_bug_threshold(monkeypatch):
     q = EmpiricalMeasure(np.array([[1.0]]), np.array([1.0]))
     reset_mmd_clamp_count()
 
+    # single unit-weight atoms: each term w @ kernel_matvec(...) is the patched value
     quads = iter([0.5, 0.5, 0.5 + 3e-9])
-    monkeypatch.setattr(kernels_mod, "_quad", lambda w, K, v: next(quads))
+    monkeypatch.setattr(kernels_mod, "kernel_matvec", lambda k, X, Y, v: np.array([next(quads)]))
     assert mmd_squared(GaussianRBF(), p, q) == 0.0
     assert mmd_clamp_count() == 1
 
     quads = iter([0.5, 0.5, 0.5 + 1e-4])
-    monkeypatch.setattr(kernels_mod, "_quad", lambda w, K, v: next(quads))
+    monkeypatch.setattr(kernels_mod, "kernel_matvec", lambda k, X, Y, v: np.array([next(quads)]))
     with pytest.raises(NumericalError):
         mmd_squared(GaussianRBF(), p, q)
     reset_mmd_clamp_count()
     assert mmd_clamp_count() == 0
+
+
+def test_mmd_memory_is_bounded_by_the_block():
+    # two 4000-atom measures in d = 2: full kernel matrices would take 122 MiB each
+    rng = np.random.default_rng(47)
+    n = 4000
+    p = EmpiricalMeasure(rng.normal(size=(n, 2)), np.full(n, 1.0 / n))
+    q = EmpiricalMeasure(rng.normal(size=(n, 2)), np.full(n, 1.0 / n))
+    tracemalloc.start()
+    try:
+        value = mmd_squared(GaussianRBF(), p, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 <= value < 1e-2
+    assert peak < 32 * 2**20
+    assert mmd_squared(GaussianRBF(), p, EmpiricalMeasure(p.atoms.copy(), p.weights.copy())) == 0.0
 
 
 def test_measure_kernel_self_value_is_one():
@@ -288,6 +307,3 @@ def test_sup_kernel_norm_is_one_for_bounded_kernels():
     pts = np.array([[0.0], [0.3], [2.0]])
     assert sup_kernel_norm(GaussianRBF(), pts) == 1.0
     assert sup_kernel_norm(WendlandC2(), pts) == 1.0
-    p = EmpiricalMeasure(np.array([[0.0]]), np.array([1.0]))
-    q = EmpiricalMeasure(np.array([[4.0]]), np.array([1.0]))
-    assert sup_kernel_norm(MeasureGaussian(GaussianRBF()), [p, q]) == 1.0

@@ -13,7 +13,6 @@ from probdense import (
     RkhsFunction,
     WendlandC2,
     apply_integral_operator,
-    eval_rkhs,
     gram_matrix,
     injectivity_probe,
     kernel_lp_norm,
@@ -42,7 +41,7 @@ def test_zero_coefficients_give_zero_function():
 
 def test_single_center_evaluations():
     f = RkhsFunction(GaussianRBF(1.0), np.array([[0.5]]), np.array([1.0]))
-    assert eval_rkhs(f, [0.5]) == 1.0
+    assert f([0.5]) == 1.0
     g = RkhsFunction(GaussianRBF(1.0), np.array([[0.0]]), np.array([2.0]))
     assert g([1.0]) == pytest.approx(2.0 * E_INV, abs=1e-15)
     assert g([1.0]) == pytest.approx(0.7357588823428847, abs=1e-15)
