@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import truncnorm
+from scipy.special import log1p, log_ndtr, logsumexp, ndtr, ndtri_exp
 
 from .erm import AbsoluteLoss, Dataset, empirical_risk, fit_kernel_ridge
 from .kernels import _KERNEL_FAMILIES
@@ -211,9 +211,23 @@ def truncated_gaussian_sampler(domain, center: float | None = None, scale: float
     """
     low, high, c, s = _gaussian_params(domain, center, scale)
     a, b = (low - c) / s, (high - c) / s
+    # Inverse-CDF draws on the arithmetic of scipy.stats.truncnorm.rvs, so they
+    # are bitwise its draws for the same Generator.  The center lies in the
+    # domain, so a <= 0 <= b: the log mass of [a, b] is scipy's central case,
+    # or its left-tail case (a complex log-difference) when b == 0.
+    if b <= 0.0:
+        log_mass = logsumexp([log_ndtr(b), log_ndtr(a) + np.pi * 1j], axis=0).real
+    else:
+        log_mass = log1p(-ndtr(a) - ndtr(-b))
+    # like scipy, invert from the left tail when a < 0, else from the right one
+    left = a < 0.0
+    log_tail = log_ndtr(a if left else -b)
 
     def sample(rng: np.random.Generator, n: int) -> np.ndarray:
-        return truncnorm.rvs(a, b, loc=c, scale=s, size=(n, 1), random_state=rng)
+        q = rng.uniform(size=n)
+        log_q = np.log(q) if left else np.log1p(-q)
+        x = ndtri_exp(logsumexp([np.full(n, log_tail), log_q + log_mass], axis=0))
+        return ((x if left else -x) * s + c).reshape(n, 1)
 
     return sample
 

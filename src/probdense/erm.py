@@ -167,27 +167,40 @@ class FitInfo:
     converged: bool
 
 
-def _jittered_cholesky_solve(A: np.ndarray, shift: float, b: np.ndarray, lam: float) -> np.ndarray:
-    """Solve (A + shift * I) x = b by Cholesky, shifting A's diagonal in place.
+def _mirror_lower(A: np.ndarray) -> None:
+    """Copy A's strict lower triangle onto its strict upper one, a row at a time."""
+    for i in range(A.shape[0] - 1):
+        A[i, i + 1 :] = A[i + 1 :, i]
 
-    On factorization failure, add 1e-12 * trace(A) / n to the diagonal and
-    retry with 10x the jitter, at most three times, then raise NumericalError.
+
+def _jittered_cholesky_solve(A: np.ndarray, shift: float, b: np.ndarray, lam: float) -> np.ndarray:
+    """Solve (A + shift * I) x = b by Cholesky for exactly symmetric A, overwriting A.
+
+    A is shifted and factored in place: LAPACK gets the F-contiguous view A.T,
+    the same matrix since A is symmetric, so no n x n copy is made.  After a
+    failed factorization, rebuild the triangle LAPACK overwrote from the
+    untouched one and the diagonal from a saved copy, add 1e-12 * trace(A) / n
+    to the diagonal and retry with 10x the jitter, at most three times, then
+    raise NumericalError.
     """
     n = A.shape[0]
     jitter = 1e-12 * float(np.trace(A)) / n
     diag = np.diag_indices(n)
     A[diag] += shift
+    d = A.diagonal().copy()
     attempt = 0
     while True:
         try:
-            factor = cho_factor(A, lower=True, check_finite=False)
+            factor = cho_factor(A.T, lower=True, overwrite_a=True, check_finite=False)
             break
         except np.linalg.LinAlgError:
             if attempt >= 3:
                 raise NumericalError(
                     f"Cholesky failed after {attempt} jitter escalations (n={n}, lam={lam!r})"
                 ) from None
-            A[diag] += jitter
+            _mirror_lower(A)
+            d += jitter
+            A[diag] = d
             jitter *= 10.0
             attempt += 1
     return cho_solve(factor, b, check_finite=False)
@@ -286,11 +299,14 @@ def fit_pairwise(
     K = gram_matrix(kernel, data.inputs)
     n = data.n
     lam = cfg.lam
-    # P K P = K - m 1' - 1 m' + mean(m) for symmetric K with row means m
+    # P K P = K - m 1' - 1 m' + mean(m) for symmetric K with row means m; its
+    # two triangles round differently and the in-place solve needs exact
+    # symmetry, so the lower triangle is copied onto the upper one
     m = K.mean(axis=1)
     A = K - m[:, None]
     A -= m
     A += m.mean()
+    _mirror_lower(A)
     yc = _centre(data.outputs)
     alpha = _jittered_cholesky_solve(A, 0.5 * n * lam, yc, lam)
     del A

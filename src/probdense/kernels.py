@@ -247,6 +247,23 @@ def reset_mmd_clamp_count() -> None:
     _mmd_clamp_count = 0
 
 
+def _inner(base, p: EmpiricalMeasure, q: EmpiricalMeasure) -> float:
+    """sum_ij w_i v_j k(x_i, y_j): the inner product of two kernel mean embeddings."""
+    return float(p.weights @ kernel_matvec(base, p.atoms, q.atoms, q.weights))
+
+
+def _mmd_from_self_terms(base, p, q, kxx: float, kyy: float) -> float:
+    """mmd_squared(base, p, q) given kxx = _inner(base, p, p) and kyy = _inner(base, q, q)."""
+    global _mmd_clamp_count
+    value = (kxx + kyy) - 2.0 * _inner(base, p, q)
+    if value < 0.0:
+        if value < -1e-8:
+            raise NumericalError(f"mmd_squared produced {value!r}, below the -1e-8 bug threshold")
+        _mmd_clamp_count += 1
+        value = 0.0
+    return value
+
+
 def mmd_squared(base, p: EmpiricalMeasure, q: EmpiricalMeasure) -> float:
     """Squared maximum mean discrepancy between two empirical measures.
 
@@ -259,37 +276,43 @@ def mmd_squared(base, p: EmpiricalMeasure, q: EmpiricalMeasure) -> float:
     below -1e-8 raise NumericalError.  When p and q hold identical arrays all
     three terms share one arithmetic path, so the result is exactly 0.
     """
-    global _mmd_clamp_count
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    kxx = float(p.weights @ kernel_matvec(base, p.atoms, p.atoms, p.weights))
-    kyy = float(q.weights @ kernel_matvec(base, q.atoms, q.atoms, q.weights))
-    kxy = float(p.weights @ kernel_matvec(base, p.atoms, q.atoms, q.weights))
-    value = (kxx + kyy) - 2.0 * kxy
-    if value < 0.0:
-        if value < -1e-8:
-            raise NumericalError(f"mmd_squared produced {value!r}, below the -1e-8 bug threshold")
-        _mmd_clamp_count += 1
-        value = 0.0
-    return value
+    return _mmd_from_self_terms(base, p, q, _inner(base, p, p), _inner(base, q, q))
+
+
+def _require_measure_kernel(k) -> None:
+    if not isinstance(k, MeasureGaussian):
+        raise TypeError("measure-level kernel required, got a point-level kernel")
+
+
+def _measure_kernel_value(k: MeasureGaussian, mmd2: float) -> float:
+    return float(np.exp(-mmd2 / (k.gamma * k.gamma)))
 
 
 def eval_measure_kernel(k: MeasureGaussian, p: EmpiricalMeasure, q: EmpiricalMeasure) -> float:
     """Measure-level kernel value exp(-mmd^2(base; p, q) / gamma^2), in (0, 1]."""
-    if not isinstance(k, MeasureGaussian):
-        raise TypeError("measure-level kernel required, got a point-level kernel")
-    return float(np.exp(-mmd_squared(k.base, p, q) / (k.gamma * k.gamma)))
+    _require_measure_kernel(k)
+    return _measure_kernel_value(k, mmd_squared(k.base, p, q))
 
 
 def measure_gram_matrix(k: MeasureGaussian, measures) -> np.ndarray:
-    """Gram matrix of the measure-level kernel over a list of measures."""
+    """Gram matrix of the measure-level kernel over a list of measures.
+
+    Bitwise equal to eval_measure_kernel on every pair: each measure's
+    self-term is computed once and shared by its n - 1 pairs, and the
+    diagonal is exactly 1 (mmd_squared of a measure with itself is exactly 0).
+    """
+    _require_measure_kernel(k)
     ms = list(measures)
     if not ms:
         raise ValueError("measures must be nonempty")
+    self_terms = [_inner(k.base, p, p) for p in ms]
     n = len(ms)
     K = np.empty((n, n), dtype=float)
     for i in range(n):
-        K[i, i] = eval_measure_kernel(k, ms[i], ms[i])
+        K[i, i] = 1.0
         for j in range(i + 1, n):
-            K[i, j] = K[j, i] = eval_measure_kernel(k, ms[i], ms[j])
+            mmd2 = _mmd_from_self_terms(k.base, ms[i], ms[j], self_terms[i], self_terms[j])
+            K[i, j] = K[j, i] = _measure_kernel_value(k, mmd2)
     return K

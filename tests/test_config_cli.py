@@ -1,12 +1,17 @@
 """Tests for config parsing and the command line front end."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import probdense
 from probdense import (
     CappedPsi,
     IntervalIndicator,
@@ -358,6 +363,27 @@ def test_cli_study_writes_deterministic_csv(tmp_path, capsys):
     assert "seed = 123\n" in manifest
     assert "seed_source = config\n" in manifest
     assert "partial = false\n" in manifest
+
+
+def test_cli_does_not_import_scipy_stats(tmp_path):
+    cfg = write(tmp_path, TINY_STUDY + "sampler = truncated_gaussian\n")
+    argv = ["study", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]
+    code = (
+        "import sys\n"
+        "import probdense.cli\n"
+        "assert 'scipy.stats' not in sys.modules, 'imported by probdense.cli'\n"
+        f"assert probdense.cli.main({argv!r}) == 0\n"
+        "assert 'scipy.stats' not in sys.modules, 'imported by the study'\n"
+    )
+    src = str(Path(probdense.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
 
 
 def test_cli_seed_override_recorded(tmp_path):

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import truncnorm
 
 from probdense import (
     ConvergenceReport,
@@ -111,6 +114,32 @@ def test_truncated_gaussian_sampler_stays_in_domain():
     X = sample(np.random.default_rng(0), 500)
     assert X.shape == (500, 1)
     assert X.min() >= 0.0 and X.max() <= 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    low=st.floats(-100.0, 100.0),
+    log_width=st.floats(-3.0, 2.0),
+    where=st.one_of(st.sampled_from(["low", "high"]), st.floats(0.0, 1.0)),
+    log_scale=st.floats(-3.0, 2.0),
+    n=st.sampled_from([1, 2, 5120]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_truncated_gaussian_draws_are_bitwise_truncnorm(low, log_width, where, log_scale, n, seed):
+    high = low + 10.0**log_width
+    if where == "low":
+        center = low
+    elif where == "high":
+        center = high
+    else:
+        center = min(high, low + where * (high - low))
+    scale = 10.0**log_scale
+    X = truncated_gaussian_sampler((low, high), center, scale)(np.random.default_rng(seed), n)
+    a, b = (low - center) / scale, (high - center) / scale
+    rng = np.random.default_rng(seed)
+    expected = truncnorm.rvs(a, b, loc=center, scale=scale, size=(n, 1), random_state=rng)
+    assert X.shape == (n, 1)
+    assert np.array_equal(X, expected)
 
 
 def test_truncated_gaussian_sampler_validation():

@@ -1,5 +1,7 @@
 """Tests for the regularized ERM solvers, clipping, and risk machinery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,10 +171,27 @@ def test_ridge_raises_after_jitter_escalation(monkeypatch):
 def _ridge_reference(data, kernel, lam, factorize=cho_factor):
     """fit_kernel_ridge's coefficients as computed by its own inline jitter loop."""
     A = gram_matrix(kernel, data.inputs)
-    n = data.n
+    return _jitter_reference(A, data.n * lam, data.outputs, factorize)
+
+
+def _pairwise_reference(data, kernel, lam, factorize=cho_factor):
+    """fit_pairwise's coefficients: the centred system on the same inline jitter loop."""
+    K = gram_matrix(kernel, data.inputs)
+    m = K.mean(axis=1)
+    A = K - m[:, None]
+    A -= m
+    A += m.mean()
+    yc = data.outputs - data.outputs[0]
+    yc -= yc.mean()
+    return _jitter_reference(A, 0.5 * data.n * lam, yc, factorize)
+
+
+def _jitter_reference(A, shift, b, factorize):
+    """Cholesky of a copy of A + shift * I with the solvers' jitter escalation."""
+    n = A.shape[0]
     jitter = 1e-12 * float(np.trace(A)) / n
     diag = np.diag_indices(n)
-    A[diag] += n * lam
+    A[diag] += shift
     attempt = 0
     while True:
         try:
@@ -183,7 +202,7 @@ def _ridge_reference(data, kernel, lam, factorize=cho_factor):
             A[diag] += jitter
             jitter *= 10.0
             attempt += 1
-    return cho_solve(factor, data.outputs, check_finite=False)
+    return cho_solve(factor, b, check_finite=False)
 
 
 def _counting_cho_factor(failures, forced=0):
@@ -224,6 +243,50 @@ def test_ridge_shared_cholesky_path_is_bitwise_unchanged(monkeypatch):
     assert failures["n"] == 2
     forced = _counting_cho_factor({"n": 0, "calls": 0}, forced=2)
     assert np.array_equal(f.coefficients, _ridge_reference(data, kernel, 0.05, forced))
+
+
+def test_in_place_factorization_is_bitwise_unchanged(monkeypatch):
+    # LAPACK overwrites the system it factors in place; a retry must see it restored
+    rng = np.random.default_rng(59)
+    data, kernel = separated_problem(rng, 60)
+    for fit, reference in (
+        (lambda: fit_kernel_ridge(data, kernel, 1e-3), _ridge_reference),
+        (
+            lambda: fit_pairwise(data, kernel, RankingSquaredLoss(), FitConfig(1e-3)),
+            _pairwise_reference,
+        ),
+    ):
+        monkeypatch.setattr(erm_mod, "cho_factor", cho_factor)
+        assert np.array_equal(fit().coefficients, reference(data, kernel, 1e-3))
+        seen = []
+
+        def factor_then_fail_once(A, **kw):
+            before = A.copy()
+            factor = cho_factor(A, **kw)
+            seen.append(not np.array_equal(A, before))
+            if len(seen) == 1:
+                raise np.linalg.LinAlgError("forced after factoring")
+            return factor
+
+        monkeypatch.setattr(erm_mod, "cho_factor", factor_then_fail_once)
+        f = fit()
+        assert seen == [True, True]
+        fail_once = _counting_cho_factor({"n": 0, "calls": 0}, forced=1)
+        assert np.array_equal(f.coefficients, reference(data, kernel, 1e-3, fail_once))
+
+
+def test_ridge_factors_the_system_in_place():
+    rng = np.random.default_rng(61)
+    n = 2048
+    data = Dataset(rng.uniform(0, 1, (n, 1)), rng.normal(size=n))
+    tracemalloc.start()
+    try:
+        fit_kernel_ridge(data, GaussianRBF(0.1), 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # K alone is 32 MiB; a copying factorization peaks at 64 MiB
+    assert peak < 40 * 2**20
 
 
 def test_subgradient_zero_data_stays_at_zero():

@@ -303,6 +303,33 @@ def test_measure_gram_is_symmetric_psd():
     assert np.linalg.eigvalsh(K)[0] >= -1e-8 * np.linalg.norm(K)
 
 
+def test_measure_gram_caches_self_terms_bitwise(monkeypatch):
+    rng = np.random.default_rng(44)
+    measures = []
+    for _ in range(7):
+        m = int(rng.integers(1, 30))
+        w = rng.uniform(0.1, 1.0, m)
+        measures.append(EmpiricalMeasure(rng.normal(size=(m, 2)), w / w.sum()))
+    k = MeasureGaussian(WendlandC2(2.5), gamma=0.8)
+    real = kernels_mod.kernel_matvec
+    calls = {"n": 0}
+
+    def counted(*args):
+        calls["n"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(kernels_mod, "kernel_matvec", counted)
+    K = measure_gram_matrix(k, measures)
+    n = len(measures)
+    # one self-term per measure, one cross term per pair (3 n (n + 1) / 2 before caching)
+    assert calls["n"] == n * (n + 1) // 2
+    for i in range(n):
+        for j in range(i, n):
+            value = eval_measure_kernel(k, measures[i], measures[j])
+            assert K[i, j] == K[j, i] == value
+    assert np.all(np.diag(K) == 1.0)
+
+
 def test_sup_kernel_norm_is_one_for_bounded_kernels():
     pts = np.array([[0.0], [0.3], [2.0]])
     assert sup_kernel_norm(GaussianRBF(), pts) == 1.0
