@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import log1p, log_ndtr, logsumexp, ndtr, ndtri_exp
 
-from .erm import AbsoluteLoss, Dataset, empirical_risk, fit_kernel_ridge
+from .erm import Dataset, fit_kernel_ridge
 from .kernels import _KERNEL_FAMILIES
 from .metrics import _PSI_KINDS, CappedPsi, PairedSample, ky_fan_metric, psi_metric
 from .util import NumericalError, as_points, derive_rng
@@ -336,6 +336,10 @@ class StudyCell:
     error: str | None = None
 
 
+# the metric fields of a StudyCell, in CSV column order
+_METRICS = tuple(f.name for f in fields(StudyCell) if f.name not in ("n", "replicate", "error"))
+
+
 @dataclass(frozen=True)
 class ConvergenceReport:
     """All study cells in deterministic (n, replicate) order."""
@@ -388,7 +392,6 @@ def run_study(cfg: StudyConfig) -> ConvergenceReport:
     """
     target = cfg.target
     sampler = cfg.build_sampler()
-    loss = AbsoluteLoss()
     cells = []
     for n in cfg.sample_sizes:
         kernel = cfg.kernel_for(n)
@@ -405,10 +408,6 @@ def run_study(cfg: StudyConfig) -> ConvergenceReport:
                 ge = fitted(Xe)
                 diffs = np.abs(ye - ge)
                 l1_gap = float(np.mean(diffs))
-                # same arithmetic path as empirical_risk over (Xe, ye)
-                risk_fit = float(np.mean(loss.values(ye, ge)))
-                risk_target = float(np.mean(loss.values(ye, ye)))
-                risk_gap = abs(risk_fit - risk_target)
                 ps = PairedSample(diffs, np.full(diffs.size, 1.0 / diffs.size))
                 cell = StudyCell(
                     n=n,
@@ -417,12 +416,14 @@ def run_study(cfg: StudyConfig) -> ConvergenceReport:
                     ky_fan=ky_fan_metric(ps),
                     sup_gap=sup_gap_estimate(target, fitted, target.domain, cfg.grid_resolution),
                     l1_gap=l1_gap,
-                    risk_gap=risk_gap,
+                    # |R(ge) - R(ye)| under the absolute loss with noise-free
+                    # labels is |l1_gap - 0|, bitwise l1_gap (ROADMAP item 3)
+                    risk_gap=l1_gap,
                 )
             except (NumericalError, np.linalg.LinAlgError) as exc:
                 log.warning("cell (n=%d, replicate=%d) failed: %s", n, rep, exc)
-                nan = float("nan")
-                cell = StudyCell(n, rep, nan, nan, nan, nan, nan, str(exc))
+                nans = dict.fromkeys(_METRICS, float("nan"))
+                cell = StudyCell(n=n, replicate=rep, **nans, error=str(exc))
             log.info(
                 "cell n=%d replicate=%d done in %.3fs%s",
                 n,

@@ -8,6 +8,7 @@ Clipping and the empirical risk functional round out the toolkit.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,8 @@ __all__ = [
     "ClippedFunction",
     "empirical_risk",
 ]
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +184,7 @@ def _jittered_cholesky_solve(A: np.ndarray, shift: float, b: np.ndarray, lam: fl
     failed factorization, rebuild the triangle LAPACK overwrote from the
     untouched one and the diagonal from a saved copy, add 1e-12 * trace(A) / n
     to the diagonal and retry with 10x the jitter, at most three times, then
-    raise NumericalError.
+    raise NumericalError.  Each escalation is logged as a WARNING.
     """
     n = A.shape[0]
     jitter = 1e-12 * float(np.trace(A)) / n
@@ -198,11 +201,18 @@ def _jittered_cholesky_solve(A: np.ndarray, shift: float, b: np.ndarray, lam: fl
                 raise NumericalError(
                     f"Cholesky failed after {attempt} jitter escalations (n={n}, lam={lam!r})"
                 ) from None
+            attempt += 1
+            log.warning(
+                "Cholesky failed; jitter escalation %d of 3 adds %r to the diagonal (n=%d, lam=%r)",
+                attempt,
+                jitter,
+                n,
+                lam,
+            )
             _mirror_lower(A)
             d += jitter
             A[diag] = d
             jitter *= 10.0
-            attempt += 1
     return cho_solve(factor, b, check_finite=False)
 
 

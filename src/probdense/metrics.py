@@ -199,39 +199,20 @@ def psi_metric(psi, sample: PairedSample) -> float:
 
 
 def ky_fan_metric(sample: PairedSample) -> float:
-    """Ky Fan metric: the smallest eps >= 0 with P(d > eps) <= eps.
+    """Ky Fan metric: the smallest eps >= 0 with P(d > eps) <= eps, in closed form.
 
-    The exceedance mass eps -> P(d > eps) is a right-continuous decreasing
-    step function, so the feasible set is a closed half line and the infimum
-    is attained.  The scan walks the constant intervals of the step function
-    in ascending order; on an interval [lo, hi) with exceedance mass m the
-    smallest feasible candidate is lo if m <= lo, else m if m < hi.  The
-    first interval that admits a candidate yields the minimum.  Boundary
-    comparisons use strict '>' for exceedance throughout.
+    Sort the positive-weight distances once, stably, to d_(1) <= ... <= d_(m)
+    and let S_i be the weight of d_(i), ..., d_(m), with S_(m+1) = 0.  Each
+    c_i = d_(i) if S_(i+1) <= d_(i), else S_(i+1), is feasible, since
+    P(d > c_i) <= S_(i+1) <= c_i, and so is S_1; the metric is
+    min(S_1, min_i c_i).  The minimum is attained at the last element of a
+    run of tied distances, whose mass above is exactly the exceedance mass
+    P(d > d_(i)).  A -0.0 result is returned as 0.0.
     """
     keep = sample.weights > 0.0
     d = sample.distances[keep]
-    w = sample.weights[keep]
-    if d.size == 0:
-        return 0.0
     order = np.argsort(d, kind="stable")
     ds = d[order]
-    ws = w[order]
-    # suffix[i] = total weight of ds[i:]; suffix[len] = 0
-    suffix = np.concatenate([np.cumsum(ws[::-1])[::-1], [0.0]])
-    vals, first = np.unique(ds, return_index=True)
-    mass_above = np.append(suffix[first[1:]], 0.0)
-    if vals[0] > 0.0:
-        bounds = np.concatenate([[0.0], vals])
-        masses = np.concatenate([[suffix[0]], mass_above])
-    else:
-        bounds = vals
-        masses = mass_above
-    for t in range(bounds.size):
-        lo = bounds[t]
-        hi = bounds[t + 1] if t + 1 < bounds.size else np.inf
-        m = masses[t]
-        cand = lo if m <= lo else m
-        if cand < hi:
-            return float(cand)
-    raise AssertionError("unreachable: the final interval always admits a candidate")
+    suffix = np.cumsum(sample.weights[keep][order][::-1])[::-1]
+    above = np.append(suffix[1:], 0.0)
+    return float(min(suffix[0], np.where(above <= ds, ds, above).min())) + 0.0

@@ -13,17 +13,17 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
 from .config import format_study_config
-from .denseness import ConvergenceReport
+from .denseness import _METRICS, ConvergenceReport, StudyCell
 from .util import ConfigError, _fmt
 
-__all__ = ["emit_report", "read_report_csv", "summarize_report", "ReportRow"]
+__all__ = ["emit_report", "read_report_csv", "summarize_report"]
 
-CSV_HEADER = ["n", "replicate", "d_psi", "ky_fan", "sup_gap", "l1_gap", "risk_gap"]
+# one column per StudyCell field but the error, which goes to the manifest
+CSV_HEADER = ["n", "replicate", *_METRICS]
 
 
 def _write_manifest(out_path, seed, seed_source: str, config_sha256: str, extra=()) -> None:
@@ -58,17 +58,7 @@ def emit_report(
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for c in report.cells:
-            writer.writerow(
-                [
-                    c.n,
-                    c.replicate,
-                    _fmt(c.d_psi),
-                    _fmt(c.ky_fan),
-                    _fmt(c.sup_gap),
-                    _fmt(c.l1_gap),
-                    _fmt(c.risk_gap),
-                ]
-            )
+            writer.writerow([c.n, c.replicate, *(_fmt(getattr(c, m)) for m in _METRICS)])
     lines = [f"partial = {'true' if report.partial else 'false'}"]
     for c in report.cells:
         if c.error is not None:
@@ -76,21 +66,12 @@ def emit_report(
     _write_manifest(out_path, report.config.seed, seed_source, config_sha256, lines)
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    """One parsed CSV row of a study report."""
-
-    n: int
-    replicate: int
-    d_psi: float
-    ky_fan: float
-    sup_gap: float
-    l1_gap: float
-    risk_gap: float
-
-
 def read_report_csv(path) -> list:
-    """Parse a study CSV back into rows; malformed input raises ConfigError."""
+    """Parse a study CSV back into StudyCells; malformed input raises ConfigError.
+
+    The CSV holds no error messages (they are in the manifest), so every
+    cell comes back with error None; a failed cell keeps its nan metrics.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -103,17 +84,15 @@ def read_report_csv(path) -> list:
         raise ConfigError(f"{path}: empty report CSV") from None
     if header != CSV_HEADER:
         raise ConfigError(f"{path}: unexpected CSV header {header!r}")
-    rows = []
+    cells = []
     for i, row in enumerate(reader, start=2):
         if len(row) != len(CSV_HEADER):
             raise ConfigError(f"{path}:{i}: expected {len(CSV_HEADER)} fields, got {len(row)}")
         try:
-            rows.append(
-                ReportRow(int(row[0]), int(row[1]), *(float(v) for v in row[2:]))
-            )
+            cells.append(StudyCell(int(row[0]), int(row[1]), *(float(v) for v in row[2:])))
         except ValueError as exc:
             raise ConfigError(f"{path}:{i}: malformed row: {exc}") from None
-    return rows
+    return cells
 
 
 def summarize_report(rows, lipschitz_constant: float = 1.0) -> str:

@@ -1,5 +1,7 @@
 """Tests for targets, samplers, and the denseness study driver."""
 
+from dataclasses import astuple, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from probdense import (
     uniform_sampler,
 )
 from probdense import denseness as denseness_mod
+from probdense.reporting import emit_report, read_report_csv
 from probdense.util import derive_rng
 
 
@@ -285,3 +288,18 @@ def test_risk_check_with_no_valid_cells():
     assert not res.passed
     assert res.cells_checked == 0
     assert np.isnan(res.worst_margin)
+
+
+def test_report_csv_round_trips_cells(tmp_path):
+    good = run_study(tiny_config(sample_sizes=(4,))).cells
+    nans = dict.fromkeys(("d_psi", "ky_fan", "sup_gap", "l1_gap", "risk_gap"), float("nan"))
+    failed = StudyCell(n=8, replicate=0, **nans, error="boom")
+    report = ConvergenceReport(tiny_config(), (*good, failed))
+    out = tmp_path / "r.csv"
+    emit_report(report, out)
+    back = read_report_csv(out)
+    # repr compares floats bitwise and nan equal to nan; the error text is in the manifest
+    assert [repr(astuple(c)) for c in back] == [
+        repr(astuple(replace(c, error=None))) for c in report.cells
+    ]
+    assert "error_cell = n=8 replicate=0: boom\n" in (tmp_path / "r.csv.manifest.txt").read_text()

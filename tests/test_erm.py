@@ -1,5 +1,6 @@
 """Tests for the regularized ERM solvers, clipping, and risk machinery."""
 
+import logging
 import tracemalloc
 
 import numpy as np
@@ -243,6 +244,29 @@ def test_ridge_shared_cholesky_path_is_bitwise_unchanged(monkeypatch):
     assert failures["n"] == 2
     forced = _counting_cho_factor({"n": 0, "calls": 0}, forced=2)
     assert np.array_equal(f.coefficients, _ridge_reference(data, kernel, 0.05, forced))
+
+
+def test_jitter_escalations_are_logged(monkeypatch, caplog):
+    rng = np.random.default_rng(61)
+    data, kernel = separated_problem(rng, 20)
+    jitter = 1e-12 * float(np.trace(gram_matrix(kernel, data.inputs))) / data.n
+    caplog.set_level(logging.WARNING, logger="probdense.erm")
+    fit_kernel_ridge(data, kernel, 0.05)
+    assert caplog.records == []
+    monkeypatch.setattr(erm_mod, "cho_factor", _counting_cho_factor({"n": 0, "calls": 0}, forced=2))
+    fit_kernel_ridge(data, kernel, 0.05)
+    assert [(r.name, r.levelno) for r in caplog.records] == [("probdense.erm", logging.WARNING)] * 2
+    assert [r.getMessage() for r in caplog.records] == [
+        f"Cholesky failed; jitter escalation {k} of 3 adds {j!r} to the diagonal (n=20, lam=0.05)"
+        for k, j in ((1, jitter), (2, jitter * 10.0))
+    ]
+    caplog.clear()
+    monkeypatch.setattr(erm_mod, "cho_factor", _counting_cho_factor({"n": 0, "calls": 0}, forced=4))
+    with pytest.raises(NumericalError):
+        fit_kernel_ridge(data, kernel, 0.05)
+    assert [r.getMessage().split(" adds ")[0] for r in caplog.records] == [
+        f"Cholesky failed; jitter escalation {k} of 3" for k in (1, 2, 3)
+    ]
 
 
 def test_in_place_factorization_is_bitwise_unchanged(monkeypatch):

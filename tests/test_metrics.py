@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probdense import (
     CappedPsi,
@@ -33,6 +35,44 @@ def ky_fan_bruteforce(sample: PairedSample) -> float:
     candidates.add(exceedance_mass(sample, 0.0))
     feasible = [c for c in candidates if exceedance_mass(sample, c) <= c]
     return min(feasible)
+
+
+def ky_fan_scan(sample: PairedSample) -> float:
+    """Reference: walk the constant intervals of eps -> P(d > eps) upwards.
+
+    On an interval [lo, hi) with exceedance mass m the smallest feasible
+    candidate is lo if m <= lo, else m if m < hi; the first interval that
+    admits a candidate yields the metric.  This is the loop the closed form
+    in ky_fan_metric replaced.
+    """
+    keep = sample.weights > 0.0
+    d = sample.distances[keep]
+    w = sample.weights[keep]
+    order = np.argsort(d, kind="stable")
+    ds = d[order]
+    ws = w[order]
+    # suffix[i] = total weight of ds[i:]; suffix[len] = 0
+    suffix = np.concatenate([np.cumsum(ws[::-1])[::-1], [0.0]])
+    vals, first = np.unique(ds, return_index=True)
+    mass_above = np.append(suffix[first[1:]], 0.0)
+    if vals[0] > 0.0:
+        bounds = np.concatenate([[0.0], vals])
+        masses = np.concatenate([[suffix[0]], mass_above])
+    else:
+        bounds = vals
+        masses = mass_above
+    for t in range(bounds.size):
+        lo = bounds[t]
+        hi = bounds[t + 1] if t + 1 < bounds.size else np.inf
+        m = masses[t]
+        cand = lo if m <= lo else m
+        if cand < hi:
+            return float(cand)
+    raise AssertionError("the final interval always admits a candidate")
+
+
+def bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
 
 
 def test_ratio_psi_values():
@@ -254,3 +294,46 @@ def test_capped_psi_metric_bounded_by_twice_ky_fan():
         w /= w.sum()
         s = PairedSample(d, w)
         assert psi_metric(CappedPsi(), s) <= 2.0 * ky_fan_metric(s) + 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 3000),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-3, 0.5, 2.0]),
+    decimals=st.sampled_from([None, 0, 1, 2, 3]),
+    zero_frac=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    negative_zeros=st.booleans(),
+    weights=st.sampled_from(["uniform", "random", "some zero"]),
+)
+def test_ky_fan_closed_form_is_bitwise_the_scan(
+    n, seed, scale, decimals, zero_frac, negative_zeros, weights
+):
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(0.0, scale, n)
+    if decimals is not None:
+        d = np.round(d, decimals)  # ties
+    d[rng.random(n) < zero_frac] = 0.0
+    if negative_zeros:
+        d[(d == 0.0) & (rng.random(n) < 0.5)] = -0.0
+    if weights == "uniform":
+        w = np.full(n, 1.0 / n)
+    else:
+        w = rng.uniform(0.0, 1.0, n)
+        if weights == "some zero":
+            w[rng.random(n) < 0.5] = 0.0
+        if w.sum() == 0.0:
+            w[0] = 1.0
+        w /= w.sum()
+    s = PairedSample(d, w)
+    eps = ky_fan_metric(s)
+    # the scan's zero keeps the sign of a -0.0 distance; the closed form returns +0.0
+    assert bits(eps) == bits(ky_fan_scan(s) + 0.0)
+    assert not np.signbit(eps)
+    assert eps == pytest.approx(ky_fan_bruteforce(s), abs=1e-12)
+
+
+def test_ky_fan_negative_zero_distance_gives_positive_zero():
+    s = PairedSample(np.array([-0.0, 0.0, 3.0]), np.array([0.5, 0.5, 0.0]))
+    assert np.signbit(ky_fan_scan(s))
+    assert bits(ky_fan_metric(s)) == bits(0.0)
