@@ -32,21 +32,16 @@ def main():
     lam = 0.005
 
     ridge = fit_kernel_ridge(data, kernel, lam)
-    sub, info = fit_erm(
-        data,
-        kernel,
-        SquaredLoss(),
-        FitConfig(lam, max_iters=3000, step_size0=0.05),
-        return_info=True,
-    )
+    cfg = FitConfig(lam, max_iters=3000, step_size0=0.05)
+    sub, info = fit_erm(data, kernel, SquaredLoss(), cfg)
     print("squared loss, two solvers:")
     print(f"  ridge (direct solve)  risk = {empirical_risk(ridge, data, SquaredLoss()):.6f}")
     print(f"  subgradient descent   risk = {empirical_risk(sub, data, SquaredLoss()):.6f}")
     print(f"  descent objective {info.objective:.6f} after {info.n_iters} iterations")
 
     cfg = FitConfig(lam, max_iters=3000, step_size0=0.5)
-    med = fit_erm(data, kernel, PinballLoss(0.5), cfg)
-    hi = fit_erm(data, kernel, PinballLoss(0.9), cfg)
+    med, _ = fit_erm(data, kernel, PinballLoss(0.5), cfg)
+    hi, _ = fit_erm(data, kernel, PinballLoss(0.9), cfg)
     grid = np.linspace(0.0, 1.0, 9)[:, None]
     print("\nquantile fits (pinball loss):")
     print(f"  {'x':>5}  {'median':>8}  {'q90':>8}")

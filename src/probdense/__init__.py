@@ -9,72 +9,13 @@ stays large.
 
 __version__ = "0.1.0"
 
-from .denseness import (
-    ConvergenceReport,
-    IntervalIndicator,
-    PiecewiseConstant,
-    RiskCheckResult,
-    SignStep,
-    SineWave,
-    StudyCell,
-    StudyConfig,
-    fit_approximant,
-    risk_convergence_check,
-    run_study,
-    sup_gap_estimate,
-    truncated_gaussian_sampler,
-    uniform_sampler,
-)
-from .erm import (
-    AbsoluteLoss,
-    ClippedFunction,
-    Dataset,
-    FitConfig,
-    FitInfo,
-    PinballLoss,
-    RankingSquaredLoss,
-    SquaredLoss,
-    clip,
-    empirical_risk,
-    fit_erm,
-    fit_kernel_ridge,
-    fit_pairwise,
-)
-from .kernels import (
-    EmpiricalMeasure,
-    GaussianRBF,
-    MeasureGaussian,
-    WendlandC2,
-    eval_kernel,
-    eval_measure_kernel,
-    gram_matrix,
-    measure_gram_matrix,
-    mmd_clamp_count,
-    mmd_squared,
-    reset_mmd_clamp_count,
-    sup_kernel_norm,
-)
-from .metrics import (
-    CappedPsi,
-    PairedSample,
-    PsiValidationReport,
-    RatioPsi,
-    TabulatedPsi,
-    apply_psi,
-    ky_fan_metric,
-    paired_sample,
-    psi_metric,
-    validate_psi,
-)
-from .rkhs import (
-    QuadratureSpec,
-    RkhsFunction,
-    apply_integral_operator,
-    injectivity_probe,
-    kernel_lp_norm,
-    lp_norm,
-    rkhs_norm,
-)
+# each module's __all__ is its public surface; the package re-exports them all
+from . import denseness, erm, kernels, metrics, rkhs
+from .denseness import *
+from .erm import *
+from .kernels import *
+from .metrics import *
+from .rkhs import *
 from .util import ConfigError, NumericalError, derive_rng
 
 __all__ = [
@@ -82,60 +23,9 @@ __all__ = [
     "ConfigError",
     "NumericalError",
     "derive_rng",
-    "GaussianRBF",
-    "WendlandC2",
-    "MeasureGaussian",
-    "EmpiricalMeasure",
-    "eval_kernel",
-    "gram_matrix",
-    "sup_kernel_norm",
-    "mmd_squared",
-    "eval_measure_kernel",
-    "measure_gram_matrix",
-    "mmd_clamp_count",
-    "reset_mmd_clamp_count",
-    "RatioPsi",
-    "CappedPsi",
-    "TabulatedPsi",
-    "PairedSample",
-    "PsiValidationReport",
-    "apply_psi",
-    "validate_psi",
-    "psi_metric",
-    "ky_fan_metric",
-    "paired_sample",
-    "RkhsFunction",
-    "QuadratureSpec",
-    "rkhs_norm",
-    "lp_norm",
-    "kernel_lp_norm",
-    "apply_integral_operator",
-    "injectivity_probe",
-    "Dataset",
-    "SquaredLoss",
-    "AbsoluteLoss",
-    "PinballLoss",
-    "RankingSquaredLoss",
-    "FitConfig",
-    "FitInfo",
-    "fit_kernel_ridge",
-    "fit_erm",
-    "fit_pairwise",
-    "clip",
-    "ClippedFunction",
-    "empirical_risk",
-    "IntervalIndicator",
-    "PiecewiseConstant",
-    "SignStep",
-    "SineWave",
-    "uniform_sampler",
-    "truncated_gaussian_sampler",
-    "StudyConfig",
-    "StudyCell",
-    "ConvergenceReport",
-    "RiskCheckResult",
-    "fit_approximant",
-    "sup_gap_estimate",
-    "run_study",
-    "risk_convergence_check",
+    *kernels.__all__,
+    *metrics.__all__,
+    *rkhs.__all__,
+    *erm.__all__,
+    *denseness.__all__,
 ]

@@ -29,7 +29,7 @@ from .denseness import run_study
 from .erm import Dataset, fit_erm, fit_kernel_ridge, fit_pairwise
 from .kernels import gram_matrix, sup_kernel_norm
 from .metrics import validate_psi
-from .reporting import _write_manifest, emit_report, read_report_csv, summarize_report
+from .reporting import _write_csv, _write_manifest, emit_report, read_report_csv, summarize_report
 from .rkhs import injectivity_probe
 from .util import ConfigError, NumericalError, _fmt
 
@@ -105,19 +105,16 @@ def _cmd_fit(args) -> int:
         fitted = fit_kernel_ridge(data, job.kernel, cfg.lam)
         detail = "direct solve"
     elif job.solver == "subgradient":
-        fitted, info = fit_erm(data, job.kernel, job.loss, cfg, return_info=True)
+        fitted, info = fit_erm(data, job.kernel, job.loss, cfg)
         detail = f"objective {info.objective:.6g} after {info.n_iters} iterations"
     else:
-        fitted, info = fit_pairwise(data, job.kernel, job.loss, cfg, return_info=True)
+        fitted, info = fit_pairwise(data, job.kernel, job.loss, cfg)
         detail = f"direct solve, objective {info.objective:.6g}"
-    out = Path(args.out)
-    d = fitted.centers.shape[1]
-    header = ",".join([f"x{i}" for i in range(d)] + ["alpha"])
-    rows = [
-        ",".join([_fmt(v) for v in fitted.centers[i]] + [_fmt(fitted.coefficients[i])])
-        for i in range(fitted.centers.shape[0])
-    ]
-    out.write_text(header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    _write_csv(
+        args.out,
+        [f"x{i}" for i in range(fitted.centers.shape[1])] + ["alpha"],
+        ([*map(_fmt, x), _fmt(a)] for x, a in zip(fitted.centers, fitted.coefficients)),
+    )
     sha = _config_sha256(args.config)
     _write_manifest(args.out, None, "config", sha, (f"solver = {job.solver}",))
     print(f"wrote {args.out} ({job.solver}: {detail})")
@@ -128,11 +125,8 @@ def _cmd_kernel_eval(args) -> int:
     job = parse_kernel_eval_config(args.config)
     K = gram_matrix(job.kernel, job.points)
     n = K.shape[0]
-    lines = ["i,j,value"]
-    for i in range(n):
-        for j in range(n):
-            lines.append(f"{i},{j},{_fmt(K[i, j])}")
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = ((i, j, _fmt(K[i, j])) for i in range(n) for j in range(n))
+    _write_csv(args.out, ["i", "j", "value"], rows)
     sup = sup_kernel_norm(job.kernel, job.points)
     try:
         lam_min = injectivity_probe(job.kernel, job.points)

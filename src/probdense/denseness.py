@@ -20,7 +20,7 @@ from scipy.special import log1p, log_ndtr, logsumexp, ndtr, ndtri_exp
 
 from .erm import Dataset, fit_kernel_ridge
 from .kernels import _KERNEL_FAMILIES
-from .metrics import _PSI_KINDS, CappedPsi, PairedSample, ky_fan_metric, psi_metric
+from .metrics import _PSI_KINDS, CappedPsi, ky_fan_metric, paired_sample, psi_metric
 from .util import NumericalError, as_points, derive_rng
 
 __all__ = [
@@ -359,24 +359,22 @@ def fit_approximant(target, n: int, kernel, lam: float, sampler, rng) -> object:
     return fit_kernel_ridge(Dataset(X, y), kernel, lam)
 
 
-def sup_gap_estimate(f, g, domain, grid_resolution: int, discontinuities=None) -> float:
-    """Max |f - g| over a uniform grid plus points straddling each jump of f.
+def sup_gap_estimate(target, g, grid_resolution: int) -> float:
+    """Max |target - g| over a uniform grid on target.domain plus jump straddles.
 
-    For every discontinuity location j (taken from f.discontinuities when
-    not given) the points j - h, j, j + h are added, h one grid spacing, so
-    a genuine jump cannot slip between grid nodes.
+    For every location j in target.discontinuities the points j - h, j,
+    j + h are added, h one grid spacing, so a genuine jump cannot slip
+    between grid nodes.
     """
-    low, high = _check_domain(domain)
+    low, high = target.domain
     if grid_resolution < 2:
         raise ValueError(f"grid_resolution must be >= 2, got {grid_resolution}")
     grid = np.linspace(low, high, int(grid_resolution))
     h = (high - low) / (int(grid_resolution) - 1)
-    if discontinuities is None:
-        discontinuities = getattr(f, "discontinuities", ())
-    extras = [np.asarray([j - h, j, j + h]) for j in discontinuities]
+    extras = [np.asarray([j - h, j, j + h]) for j in target.discontinuities]
     pts = np.concatenate([grid] + extras) if extras else grid
     pts = np.clip(pts, low, high)[:, None]
-    fv = np.asarray(f(pts), dtype=float)
+    fv = np.asarray(target(pts), dtype=float)
     gv = np.asarray(g(pts), dtype=float)
     return float(np.abs(fv - gv).max())
 
@@ -404,20 +402,17 @@ def run_study(cfg: StudyConfig) -> ConvergenceReport:
                 )
                 eval_rng = derive_rng(cfg.seed, n, rep, "eval")
                 Xe = sampler(eval_rng, cfg.eval_sample_size)
-                ye = target(Xe)
-                ge = fitted(Xe)
-                diffs = np.abs(ye - ge)
-                l1_gap = float(np.mean(diffs))
-                ps = PairedSample(diffs, np.full(diffs.size, 1.0 / diffs.size))
+                ps = paired_sample(target, fitted, Xe)
+                l1_gap = float(np.mean(ps.distances))
                 cell = StudyCell(
                     n=n,
                     replicate=rep,
                     d_psi=psi_metric(cfg.psi, ps),
                     ky_fan=ky_fan_metric(ps),
-                    sup_gap=sup_gap_estimate(target, fitted, target.domain, cfg.grid_resolution),
+                    sup_gap=sup_gap_estimate(target, fitted, cfg.grid_resolution),
                     l1_gap=l1_gap,
-                    # |R(ge) - R(ye)| under the absolute loss with noise-free
-                    # labels is |l1_gap - 0|, bitwise l1_gap (ROADMAP item 3)
+                    # |R(fitted) - R(target)| under the absolute loss with
+                    # noise-free labels is |l1_gap - 0|, bitwise l1_gap (ROADMAP item 3)
                     risk_gap=l1_gap,
                 )
             except (NumericalError, np.linalg.LinAlgError) as exc:
@@ -444,19 +439,13 @@ class RiskCheckResult:
     cells_checked: int
 
 
-def risk_convergence_check(report: ConvergenceReport, lipschitz_constant: float = 1.0) -> RiskCheckResult:
+def risk_convergence_check(report: ConvergenceReport) -> RiskCheckResult:
     """Check risk_gap <= |L|_1 * l1_gap + 1e-10 on every non-errored cell.
 
-    The margin of a cell is the slack in that inequality; the result
-    records the worst one.
+    risk_gap is taken under the absolute loss, so |L|_1 = 1.  The margin of
+    a cell is the slack in that inequality; the result records the worst one.
     """
-    if not (np.isfinite(lipschitz_constant) and lipschitz_constant >= 0.0):
-        raise ValueError(f"lipschitz_constant must be >= 0, got {lipschitz_constant!r}")
-    margins = [
-        lipschitz_constant * c.l1_gap + 1e-10 - c.risk_gap
-        for c in report.cells
-        if c.error is None
-    ]
+    margins = [c.l1_gap + 1e-10 - c.risk_gap for c in report.cells if c.error is None]
     if not margins:
         return RiskCheckResult(False, float("nan"), 0)
     worst = float(min(margins))

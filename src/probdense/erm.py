@@ -61,14 +61,12 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SquaredLoss:
-    """L(y, t) = (y - t)^2.
+    """L(y, t) = (y - t)^2, Lipschitz only on bounded output ranges."""
 
-    Lipschitz only on bounded output ranges; if a range-restricted constant
-    is known it can be stored, otherwise lipschitz_constant stays None and
-    Lipschitz-based bounds do not apply.
-    """
-
-    lipschitz_constant: float | None = None
+    @property
+    def lipschitz_constant(self) -> None:
+        """None: no global constant exists, so Lipschitz-based bounds do not apply."""
+        return None
 
     def values(self, y, t):
         r = y - t
@@ -230,16 +228,14 @@ def fit_kernel_ridge(data: Dataset, kernel, lam: float) -> RkhsFunction:
     return RkhsFunction(kernel, data.inputs, alpha)
 
 
-def fit_erm(
-    data: Dataset, kernel, loss, cfg: FitConfig, return_info: bool = False
-) -> RkhsFunction | tuple[RkhsFunction, FitInfo]:
+def fit_erm(data: Dataset, kernel, loss, cfg: FitConfig) -> tuple[RkhsFunction, FitInfo]:
     """Subgradient descent for (1/n) sum L(y_i, f(x_i)) + lam * ||f||_H^2.
 
     Steps follow step_size0 / sqrt(t); the best iterate by objective is
-    returned, starting the comparison at alpha = 0, so the result never
-    exceeds the objective of the zero function.  Two n x n matvecs per
-    iteration: fvals = K @ alpha serves the gradient's penalty term and the
-    objective's penalty alpha @ fvals.
+    returned with its FitInfo, starting the comparison at alpha = 0, so the
+    result never exceeds the objective of the zero function.  Two n x n
+    matvecs per iteration: fvals = K @ alpha serves the gradient's penalty
+    term and the objective's penalty alpha @ fvals.
     """
     K = gram_matrix(kernel, data.inputs)
     y = data.outputs
@@ -275,10 +271,8 @@ def fit_erm(
             best_obj = obj
             best_alpha = alpha
         iters_run = t
-    result = RkhsFunction(kernel, data.inputs, best_alpha)
-    if not return_info:
-        return result
-    return result, FitInfo(best_obj, obj_zero, iters_run, grad_norm, grad_norm <= cfg.tol)
+    info = FitInfo(best_obj, obj_zero, iters_run, grad_norm, grad_norm <= cfg.tol)
+    return RkhsFunction(kernel, data.inputs, best_alpha), info
 
 
 def _centre(v: np.ndarray) -> np.ndarray:
@@ -289,9 +283,9 @@ def _centre(v: np.ndarray) -> np.ndarray:
 
 
 def fit_pairwise(
-    data: Dataset, kernel, loss: RankingSquaredLoss, cfg: FitConfig, return_info: bool = False
-) -> RkhsFunction | tuple[RkhsFunction, FitInfo]:
-    """Exact minimiser of the mean pairwise ranking objective.
+    data: Dataset, kernel, loss: RankingSquaredLoss, cfg: FitConfig
+) -> tuple[RkhsFunction, FitInfo]:
+    """Exact minimiser of the mean pairwise ranking objective, with its FitInfo.
 
     (1/n^2) sum_ij ((y_i - y_j) - (f(x_i) - f(x_j)))^2 + lam * ||f||_H^2
     equals (2/n) ||P (y - K alpha)||^2 + lam * alpha' K alpha, P = I - 11'/n,
@@ -320,14 +314,12 @@ def fit_pairwise(
     yc = _centre(data.outputs)
     alpha = _jittered_cholesky_solve(A, 0.5 * n * lam, yc, lam)
     del A
-    result = RkhsFunction(kernel, data.inputs, alpha)
-    if not return_info:
-        return result
     fvals = K @ alpha
     pr = yc - _centre(fvals)
     objective = float((2.0 / n) * (pr @ pr) + lam * (alpha @ fvals))
     grad_norm = float(np.linalg.norm(K @ (2.0 * lam * alpha - (4.0 / n) * pr)))
-    return result, FitInfo(objective, float((2.0 / n) * (yc @ yc)), 0, grad_norm, True)
+    info = FitInfo(objective, float((2.0 / n) * (yc @ yc)), 0, grad_norm, True)
+    return RkhsFunction(kernel, data.inputs, alpha), info
 
 
 @dataclass(frozen=True, eq=False)

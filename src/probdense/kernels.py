@@ -10,6 +10,7 @@ discrepancy between two empirical measures.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +29,9 @@ __all__ = [
     "mmd_squared",
     "eval_measure_kernel",
     "measure_gram_matrix",
-    "mmd_clamp_count",
-    "reset_mmd_clamp_count",
 ]
+
+log = logging.getLogger(__name__)
 
 # Entries per evaluation block: a block is as many whole rows as keep its
 # (rows, m, d) coordinate differences within this count (2 MiB of float64),
@@ -234,19 +235,6 @@ def sup_kernel_norm(k, probe) -> float:
     return float(np.sqrt(_kernel_diag(k, X.shape[0])).max())
 
 
-_mmd_clamp_count = 0
-
-
-def mmd_clamp_count() -> int:
-    """How many times mmd_squared clamped a small negative value to 0."""
-    return _mmd_clamp_count
-
-
-def reset_mmd_clamp_count() -> None:
-    global _mmd_clamp_count
-    _mmd_clamp_count = 0
-
-
 def _inner(base, p: EmpiricalMeasure, q: EmpiricalMeasure) -> float:
     """sum_ij w_i v_j k(x_i, y_j): the inner product of two kernel mean embeddings."""
     return float(p.weights @ kernel_matvec(base, p.atoms, q.atoms, q.weights))
@@ -254,12 +242,11 @@ def _inner(base, p: EmpiricalMeasure, q: EmpiricalMeasure) -> float:
 
 def _mmd_from_self_terms(base, p, q, kxx: float, kyy: float) -> float:
     """mmd_squared(base, p, q) given kxx = _inner(base, p, p) and kyy = _inner(base, q, q)."""
-    global _mmd_clamp_count
     value = (kxx + kyy) - 2.0 * _inner(base, p, q)
     if value < 0.0:
         if value < -1e-8:
             raise NumericalError(f"mmd_squared produced {value!r}, below the -1e-8 bug threshold")
-        _mmd_clamp_count += 1
+        log.info("mmd_squared clamped %r to 0", value)
         value = 0.0
     return value
 
@@ -272,9 +259,10 @@ def mmd_squared(base, p: EmpiricalMeasure, q: EmpiricalMeasure) -> float:
 
     Each term is w @ kernel_matvec(...), so memory is bounded by the
     evaluation block, not by the number of atoms.  Nonnegative up to
-    roundoff; tiny negative values are clamped to 0 and counted, magnitudes
-    below -1e-8 raise NumericalError.  When p and q hold identical arrays all
-    three terms share one arithmetic path, so the result is exactly 0.
+    roundoff; tiny negative values are clamped to 0 and logged at INFO,
+    magnitudes below -1e-8 raise NumericalError.  When p and q hold
+    identical arrays all three terms share one arithmetic path, so the
+    result is exactly 0.
     """
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")

@@ -38,6 +38,14 @@ def _write_manifest(out_path, seed, seed_source: str, config_sha256: str, extra=
     Path(str(out_path) + ".manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _write_csv(path, header, rows) -> None:
+    """Write header and rows as RFC-4180 CSV with '\\n' line endings (study, fit, Gram tables)."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def emit_report(
     report: ConvergenceReport,
     out_path,
@@ -53,12 +61,11 @@ def emit_report(
     if config_sha256 is None:
         canonical = format_study_config(report.config)
         config_sha256 = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    out_path = Path(out_path)
-    with out_path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for c in report.cells:
-            writer.writerow([c.n, c.replicate, *(_fmt(getattr(c, m)) for m in _METRICS)])
+    _write_csv(
+        out_path,
+        CSV_HEADER,
+        ([c.n, c.replicate, *(_fmt(getattr(c, m)) for m in _METRICS)] for c in report.cells),
+    )
     lines = [f"partial = {'true' if report.partial else 'false'}"]
     for c in report.cells:
         if c.error is not None:
@@ -95,13 +102,13 @@ def read_report_csv(path) -> list:
     return cells
 
 
-def summarize_report(rows, lipschitz_constant: float = 1.0) -> str:
+def summarize_report(rows) -> str:
     """Human-readable decay summary of a study CSV.
 
     Per sample size: replicate means of each gap metric; then the worst
     risk-transfer margin risk_gap <= |L|_1 * l1_gap + 1e-10 over all
-    finite cells, and the d_psi decay ratio between the largest and
-    smallest sample size.
+    finite cells (|L|_1 = 1: risk_gap is taken under the absolute loss),
+    and the d_psi decay ratio between the largest and smallest sample size.
     """
     if not rows:
         return "empty report\n"
@@ -122,7 +129,7 @@ def summarize_report(rows, lipschitz_constant: float = 1.0) -> str:
         )
     finite = [r for r in rows if not math.isnan(r.risk_gap)]
     if finite:
-        worst = min(lipschitz_constant * r.l1_gap + 1e-10 - r.risk_gap for r in finite)
+        worst = min(r.l1_gap + 1e-10 - r.risk_gap for r in finite)
         lines.append(f"worst risk-transfer margin: {worst:.6g} ({'ok' if worst >= 0 else 'VIOLATED'})")
     failed = len(rows) - len(finite)
     if failed:

@@ -188,13 +188,8 @@ def test_criterion_05_ridge_optimality():
             target = float(np.mean((data.outputs - fv) ** 2) + lam * ridge.coefficients @ fv)
             ew = np.linalg.eigvalsh(K)
             step = 1.0 / float((2.0 * ew**2 / n + 2.0 * lam * ew).max())
-            _, info = fit_erm(
-                data,
-                k,
-                SquaredLoss(),
-                FitConfig(lam, max_iters=4000, step_size0=step),
-                return_info=True,
-            )
+            cfg = FitConfig(lam, max_iters=4000, step_size0=step)
+            _, info = fit_erm(data, k, SquaredLoss(), cfg)
             assert abs(info.objective - target) <= 1e-4 * target
 
 

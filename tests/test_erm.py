@@ -71,6 +71,7 @@ def test_loss_values_and_subgradients():
     assert np.array_equal(pin.subgradient(y, t), np.array([-0.9, low, low]))
     assert pin.lipschitz_constant == 0.9
     assert AbsoluteLoss().lipschitz_constant == 1.0
+    assert SquaredLoss().lipschitz_constant is None
 
 
 def test_pinball_half_is_half_absolute():
@@ -276,7 +277,7 @@ def test_in_place_factorization_is_bitwise_unchanged(monkeypatch):
     for fit, reference in (
         (lambda: fit_kernel_ridge(data, kernel, 1e-3), _ridge_reference),
         (
-            lambda: fit_pairwise(data, kernel, RankingSquaredLoss(), FitConfig(1e-3)),
+            lambda: fit_pairwise(data, kernel, RankingSquaredLoss(), FitConfig(1e-3))[0],
             _pairwise_reference,
         ),
     ):
@@ -316,7 +317,7 @@ def test_ridge_factors_the_system_in_place():
 def test_subgradient_zero_data_stays_at_zero():
     rng = np.random.default_rng(17)
     data = Dataset(rng.normal(size=(10, 1)), np.zeros(10))
-    f, info = fit_erm(data, GaussianRBF(), AbsoluteLoss(), FitConfig(0.1, max_iters=50), return_info=True)
+    f, info = fit_erm(data, GaussianRBF(), AbsoluteLoss(), FitConfig(0.1, max_iters=50))
     assert info.objective_at_zero == 0.0
     assert info.objective == 0.0
     assert np.array_equal(f.coefficients, np.zeros(10))
@@ -329,7 +330,7 @@ def test_subgradient_never_beats_zero_function_bound():
         data = Dataset(rng.normal(size=(n, 2)), rng.normal(size=n))
         loss = [AbsoluteLoss(), PinballLoss(0.3), SquaredLoss()][int(rng.integers(0, 3))]
         cfg = FitConfig(10 ** rng.uniform(-4, 0), max_iters=60, step_size0=float(rng.uniform(0.01, 2.0)))
-        _, info = fit_erm(data, GaussianRBF(0.6), loss, cfg, return_info=True)
+        _, info = fit_erm(data, GaussianRBF(0.6), loss, cfg)
         assert info.objective <= info.objective_at_zero
 
 
@@ -342,9 +343,8 @@ def test_subgradient_matches_ridge_on_squared_loss():
     K = gram_matrix(kernel, data.inputs)
     ew = np.linalg.eigvalsh(K)
     step = 1.0 / float((2.0 * ew**2 / data.n + 2.0 * lam * ew).max())
-    _, info = fit_erm(
-        data, kernel, SquaredLoss(), FitConfig(lam, max_iters=4000, step_size0=step), return_info=True
-    )
+    cfg = FitConfig(lam, max_iters=4000, step_size0=step)
+    _, info = fit_erm(data, kernel, SquaredLoss(), cfg)
     assert abs(info.objective - target) <= 1e-4 * target
 
 
@@ -354,8 +354,8 @@ def test_pinball_half_fit_equals_rescaled_absolute_fit():
     rng = np.random.default_rng(29)
     data = Dataset(rng.uniform(0, 1, (30, 1)), rng.normal(size=30))
     k = GaussianRBF(0.4)
-    fp = fit_erm(data, k, PinballLoss(0.5), FitConfig(1e-2, max_iters=400, step_size0=1.0))
-    fa = fit_erm(data, k, AbsoluteLoss(), FitConfig(2e-2, max_iters=400, step_size0=0.5))
+    fp, _ = fit_erm(data, k, PinballLoss(0.5), FitConfig(1e-2, max_iters=400, step_size0=1.0))
+    fa, _ = fit_erm(data, k, AbsoluteLoss(), FitConfig(2e-2, max_iters=400, step_size0=0.5))
     assert np.abs(fp(data.inputs) - fa(data.inputs)).max() <= 1e-10
 
 
@@ -401,7 +401,7 @@ def test_subgradient_reuses_fvals_bitwise(loss):
     x = rng.uniform(0, 1, 80)
     data = Dataset(x[:, None], np.sin(2 * np.pi * x) + 0.3 * rng.normal(size=80))
     cfg = FitConfig(1e-3, max_iters=300, step_size0=0.5)
-    f, info = fit_erm(data, GaussianRBF(0.2), loss, cfg, return_info=True)
+    f, info = fit_erm(data, GaussianRBF(0.2), loss, cfg)
     alpha, expected = _four_matvec_subgradient(data, GaussianRBF(0.2), loss, cfg)
     assert np.array_equal(f.coefficients, alpha)
     assert info == expected
@@ -409,9 +409,7 @@ def test_subgradient_reuses_fvals_bitwise(loss):
 
 def test_pairwise_equal_outputs_stay_at_zero():
     data = Dataset(np.array([[0.0], [0.5], [1.0]]), np.full(3, 2.0))
-    f, info = fit_pairwise(
-        data, GaussianRBF(), RankingSquaredLoss(), FitConfig(0.1, max_iters=50), return_info=True
-    )
+    f, info = fit_pairwise(data, GaussianRBF(), RankingSquaredLoss(), FitConfig(0.1, max_iters=50))
     assert info.objective == 0.0
     assert info.converged
     assert np.array_equal(f.coefficients, np.zeros(3))
@@ -420,7 +418,7 @@ def test_pairwise_equal_outputs_stay_at_zero():
 def test_pairwise_two_point_sign_convention():
     data = Dataset(np.array([[0.0], [100.0]]), np.array([0.0, 1.0]))
     cfg = FitConfig(1e-6, max_iters=500, step_size0=1.0)
-    f = fit_pairwise(data, GaussianRBF(1.0), RankingSquaredLoss(), cfg)
+    f, _ = fit_pairwise(data, GaussianRBF(1.0), RankingSquaredLoss(), cfg)
     fitted_diff = f([0.0]) - f([100.0])
     assert abs(fitted_diff - (-1.0)) < 0.1
 
@@ -428,7 +426,7 @@ def test_pairwise_two_point_sign_convention():
 def test_pairwise_huge_penalty_shrinks_to_zero():
     rng = np.random.default_rng(37)
     data = Dataset(rng.uniform(0, 1, (12, 1)), rng.normal(size=12))
-    f = fit_pairwise(data, GaussianRBF(0.5), RankingSquaredLoss(), FitConfig(1e6, max_iters=200))
+    f, _ = fit_pairwise(data, GaussianRBF(0.5), RankingSquaredLoss(), FitConfig(1e6, max_iters=200))
     assert np.abs(f(data.inputs)).max() < 1e-3
 
 
@@ -463,7 +461,7 @@ def test_pairwise_fit_is_the_exact_minimiser(x, data, kernel, lam, shift, seed):
     y = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
     X = np.array(x)[:, None]
     sample = Dataset(X, y)
-    f, info = fit_pairwise(sample, kernel, RankingSquaredLoss(), FitConfig(lam), return_info=True)
+    f, info = fit_pairwise(sample, kernel, RankingSquaredLoss(), FitConfig(lam))
     a = f.coefficients
     assert (info.n_iters, info.converged) == (0, True)
     K = gram_matrix(kernel, X)
@@ -476,7 +474,7 @@ def test_pairwise_fit_is_the_exact_minimiser(x, data, kernel, lam, shift, seed):
     # the gradient is 2 K (lam alpha - (2/n) P r), so the residual's bound times ||K|| <= n
     assert info.grad_norm <= 2e-12 * n**1.5 * scale + tiny
     assert abs(a.sum()) <= 1e-12 * (np.abs(a).sum() + np.abs(y).sum() / (n * lam)) + tiny
-    shifted = fit_pairwise(Dataset(X, y + shift), kernel, RankingSquaredLoss(), FitConfig(lam))
+    shifted, _ = fit_pairwise(Dataset(X, y + shift), kernel, RankingSquaredLoss(), FitConfig(lam))
     atol = 1e-11 * (np.abs(y).max() + abs(shift)) / lam + tiny
     np.testing.assert_allclose(shifted.coefficients, a, rtol=0, atol=atol)
     obj = _pairwise_objective(sample, kernel, lam, a)
@@ -491,9 +489,7 @@ def test_pairwise_fit_is_the_exact_minimiser(x, data, kernel, lam, shift, seed):
 @pytest.mark.parametrize("c", [2.0, 0.1, -3.7e5, 1e-300])
 def test_pairwise_constant_outputs_give_zero(c):
     data = Dataset(np.linspace(0.0, 1.0, 7)[:, None], np.full(7, c))
-    f, info = fit_pairwise(
-        data, GaussianRBF(0.3), RankingSquaredLoss(), FitConfig(1e-3), return_info=True
-    )
+    f, info = fit_pairwise(data, GaussianRBF(0.3), RankingSquaredLoss(), FitConfig(1e-3))
     assert np.array_equal(f.coefficients, np.zeros(7))
     assert info.objective == 0.0 and info.objective_at_zero == 0.0 and info.grad_norm == 0.0
 

@@ -1,5 +1,6 @@
 """Tests for point-level and measure-level kernels."""
 
+import logging
 import math
 import tracemalloc
 
@@ -18,9 +19,7 @@ from probdense import (
     eval_measure_kernel,
     gram_matrix,
     measure_gram_matrix,
-    mmd_clamp_count,
     mmd_squared,
-    reset_mmd_clamp_count,
     sup_kernel_norm,
 )
 from probdense import kernels as kernels_mod
@@ -230,23 +229,29 @@ def test_mmd_nonnegative_on_random_measures():
         assert mmd_squared(WendlandC2(2.0), p, q) >= 0.0
 
 
-def test_mmd_clamp_counter_and_bug_threshold(monkeypatch):
+def test_mmd_clamp_is_logged_and_bug_threshold(monkeypatch, caplog):
     p = EmpiricalMeasure(np.array([[0.0]]), np.array([1.0]))
     q = EmpiricalMeasure(np.array([[1.0]]), np.array([1.0]))
-    reset_mmd_clamp_count()
+    caplog.set_level(logging.INFO, logger="probdense.kernels")
+
+    assert mmd_squared(GaussianRBF(), p, p) == 0.0
+    assert caplog.records == []
 
     # single unit-weight atoms: each term w @ kernel_matvec(...) is the patched value
     quads = iter([0.5, 0.5, 0.5 + 3e-9])
     monkeypatch.setattr(kernels_mod, "kernel_matvec", lambda k, X, Y, v: np.array([next(quads)]))
     assert mmd_squared(GaussianRBF(), p, q) == 0.0
-    assert mmd_clamp_count() == 1
+    clamped = (0.5 + 0.5) - 2.0 * (0.5 + 3e-9)
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("INFO", f"mmd_squared clamped {clamped!r} to 0")
+    ]
 
+    caplog.clear()
     quads = iter([0.5, 0.5, 0.5 + 1e-4])
     monkeypatch.setattr(kernels_mod, "kernel_matvec", lambda k, X, Y, v: np.array([next(quads)]))
     with pytest.raises(NumericalError):
         mmd_squared(GaussianRBF(), p, q)
-    reset_mmd_clamp_count()
-    assert mmd_clamp_count() == 0
+    assert caplog.records == []
 
 
 def test_mmd_memory_is_bounded_by_the_block():
