@@ -3,8 +3,12 @@
 Point-level kernels (Gaussian RBF, compactly supported Wendland C^2) are
 evaluated through one row-block path (``_blocks``) so that k(x, y) == k(y, x)
 bitwise, Gram entries agree bitwise with pairwise evaluation, and kernel
-expansions are evaluated without holding the full kernel matrix.  On top of
-them sits a measure-level Gaussian kernel: a Gaussian of the maximum mean
+expansions are evaluated without holding the full kernel matrix.  A Wendland
+expansion evaluates, per row block, only the centres whose first coordinate
+lies within the support radius of the block's rows: the skipped columns are
+exactly zero, but the sum runs in sorted order, so it agrees with
+``pairwise(k, X, C) @ a`` to rounding and depends on the block size.  On top
+of them sits a measure-level Gaussian kernel: a Gaussian of the maximum mean
 discrepancy between two empirical measures.
 """
 
@@ -63,7 +67,10 @@ class WendlandC2:
     """Compactly supported Wendland kernel (1 - r)_+^4 (4r + 1).
 
     r is the Euclidean distance divided by ``support_radius``; the kernel is
-    exactly zero for r >= 1, C^2 smooth, and takes values in [0, 1].
+    exactly zero for r >= 1, C^2 smooth, and takes values in [0, 1].  The
+    fourth power is two squarings.  ``kernel_matvec`` skips the centres
+    outside the support of each row block, whose values are exactly zero,
+    and sums the rest in sorted order.
     """
 
     support_radius: float = 1.0
@@ -80,7 +87,8 @@ class WendlandC2:
         r /= self.support_radius
         base = np.subtract(1.0, r, out=work)
         np.maximum(0.0, base, out=base)
-        np.power(base, 4, out=base)
+        np.multiply(base, base, out=base)
+        np.multiply(base, base, out=base)
         r *= 4.0
         r += 1.0
         r *= base
@@ -142,35 +150,44 @@ def _point_pair(k, X, Y) -> tuple[np.ndarray, np.ndarray]:
     return X, Y
 
 
-def _blocks(k, X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None):
-    """Yield (rows, K[rows]) for consecutive row blocks of K[i, j] = k(X[i], Y[j]).
+def _blocks(k, X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None, columns=None):
+    """Yield (rows, cols, K[rows, cols]) for consecutive row blocks of K[i, j] = k(X[i], Y[j]).
 
     Each block is built in place from explicit coordinate differences (never
     the expanded dot-product identity): subtract, square, sum over the
     coordinate axis when d > 1, then the kernel's transform.  Blocks are
     views of ``out`` when given, else of one scratch buffer that the next
-    block overwrites.
+    block overwrites.  ``columns(start, stop)``, when given, returns the
+    slice of Y that the block of rows start:stop covers (all of Y
+    otherwise); the block then holds only those columns.
     """
     n, d = X.shape
     m = Y.shape[0]
     rows = min(n, max(1, _BLOCK_ENTRIES // (m * d)))
-    diff = np.empty((rows, m, d)) if d > 1 else None
-    scratch = np.empty((rows, m)) if out is None else None
-    work = np.empty((rows, m))
+    # flat buffers, so that a block narrower than Y is still a contiguous prefix
+    diff = np.empty(rows * m * d) if d > 1 else None
+    scratch = np.empty(rows * m) if out is None else None
+    work = np.empty(rows * m)
+    cols = slice(0, m)
     for start in range(0, n, rows):
         stop = min(n, start + rows)
         size = stop - start
-        block = scratch[:size] if out is None else out[start:stop]
+        if columns is not None:
+            cols = columns(start, stop)
+        Yb = Y[cols]
+        shape = (size, Yb.shape[0])
+        entries = shape[0] * shape[1]
+        block = scratch[:entries].reshape(shape) if out is None else out[start:stop]
         if d == 1:
-            np.subtract(X[start:stop], Y.T, out=block)
+            np.subtract(X[start:stop], Yb.T, out=block)
             np.multiply(block, block, out=block)
         else:
-            t = diff[:size]
-            np.subtract(X[start:stop, None, :], Y[None, :, :], out=t)
+            t = diff[: entries * d].reshape(shape + (d,))
+            np.subtract(X[start:stop, None, :], Yb[None, :, :], out=t)
             np.multiply(t, t, out=t)
             np.sum(t, axis=-1, out=block)
-        k._transform(block, work[:size])
-        yield slice(start, stop), block
+        k._transform(block, work[:entries].reshape(shape))
+        yield slice(start, stop), cols, block
 
 
 def _kernel_diag(k, n: int) -> np.ndarray:
@@ -197,17 +214,54 @@ def kernel_matvec(k, X, C, a) -> np.ndarray:
     """pairwise(k, X, C) @ a without forming the (len(X), len(C)) matrix.
 
     Each row block is multiplied by ``a`` as soon as it is built, so memory
-    stays bounded by the block size.  When all rows fit in one block the
-    result is bitwise equal to ``pairwise(k, X, C) @ a``; otherwise it agrees
-    up to the rounding of row-split BLAS products.
+    stays bounded by the block size.  For a Gaussian kernel, when all rows
+    fit in one block the result is bitwise equal to ``pairwise(k, X, C) @ a``;
+    otherwise it agrees up to the rounding of row-split BLAS products.
+
+    For a Wendland kernel the rows and the centres are sorted by their first
+    coordinate, and each block of sorted rows is evaluated only against the
+    centres whose first coordinate lies within the support radius of the
+    block's first-coordinate range; the values are scattered back to the
+    caller's row order.  Since |x_1 - c_1| <= ||x - c||, every skipped column
+    is exactly zero in any dimension, but the remaining ones are summed in
+    sorted order over a window that depends on the block size, so the result
+    agrees with ``pairwise(k, X, C) @ a`` to rounding.  The rows are sorted
+    on all coordinates and equal rows are evaluated once, so the value of
+    each row is bitwise independent of the row order.
     """
     X, C = _point_pair(k, X, C)
     a = np.asarray(a, dtype=float)
     if a.shape != (C.shape[0],):
         raise ValueError(f"a must have shape ({C.shape[0]},), got {a.shape}")
     out = np.empty(X.shape[0])
-    for rows, block in _blocks(k, X, C):
-        np.matmul(block, a, out=out[rows])
+    if not isinstance(k, WendlandC2):
+        for rows, _, block in _blocks(k, X, C):
+            np.matmul(block, a, out=out[rows])
+        return out
+    order = np.lexsort(X.T[::-1])
+    X = X[order]
+    # one evaluation per distinct row: equal rows in different blocks could
+    # otherwise get different roundings, and the row order would show
+    distinct = np.ones(X.shape[0], dtype=bool)
+    distinct[1:] = (X[1:] != X[:-1]).any(axis=1)
+    X = X[distinct]
+    by_first = np.argsort(C[:, 0], kind="stable")
+    C, a = C[by_first], a[by_first]
+    c1 = C[:, 0]
+    R = k.support_radius
+
+    # Rounding is monotone, so c1 < fl(x1 - R) implies x1 - c1 > R, hence a
+    # computed |x1 - c1| >= R, a computed r >= 1 and a value of exactly 0; a
+    # centre with c1 == fl(x1 -/+ R) may lie inside the support and is kept.
+    def columns(start, stop):
+        lo = np.searchsorted(c1, X[start, 0] - R, side="left")
+        hi = np.searchsorted(c1, X[stop - 1, 0] + R, side="right")
+        return slice(lo, hi)
+
+    values = np.empty(X.shape[0])
+    for rows, cols, block in _blocks(k, X, C, columns=columns):
+        np.matmul(block, a[cols], out=values[rows])
+    out[order] = values[np.cumsum(distinct) - 1]
     return out
 
 

@@ -2,8 +2,10 @@
 
 An RkhsFunction is a finite expansion f = sum_i alpha_i k(., x_i).  Its norm
 is sqrt(alpha' K alpha), and evaluation runs block by block through the
-pairwise kernel path, so evaluating f on its own centers agrees bitwise with
-K @ alpha when they fit in one block, and to BLAS rounding otherwise.
+pairwise kernel path.  For a Gaussian kernel, evaluating f on its own
+centers agrees bitwise with K @ alpha when they fit in one block, and to
+BLAS rounding otherwise; a Wendland expansion sums only the in-support
+centres, in sorted order, and agrees with K @ alpha to rounding.
 """
 
 from __future__ import annotations

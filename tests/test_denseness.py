@@ -1,6 +1,8 @@
 """Tests for targets, samplers, and the denseness study driver."""
 
+import json
 from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from probdense import (
     IntervalIndicator,
     NumericalError,
     PiecewiseConstant,
+    RatioPsi,
     SignStep,
     SineWave,
     StudyCell,
@@ -245,6 +248,31 @@ def test_run_study_shape_and_determinism():
             assert np.isfinite(v) and v >= 0.0
         # target risk is exactly zero, so the gap is the fitted L1 risk
         assert c.risk_gap == c.l1_gap
+
+
+WENDLAND_STUDY = Path(__file__).parent / "data" / "wendland_study.json"
+
+
+def test_wendland_study_matches_recorded_values():
+    # a wrong support window moves these far beyond rel 1e-9; rounding does not
+    recorded = json.loads(WENDLAND_STUDY.read_text())
+    report = run_study(
+        StudyConfig(
+            target=PiecewiseConstant(((0.1, 0.25, 1.0), (0.4, 0.6, -0.5), (0.75, 0.9, 0.8))),
+            sample_sizes=tuple(recorded["sample_sizes"]),
+            seed=recorded["seed"],
+            replicates=recorded["replicates"],
+            kernel_family="wendland_c2",
+            psi=RatioPsi(),
+            sampler="truncated_gaussian",
+        )
+    )
+    assert not report.partial
+    assert len(report.cells) == len(recorded["cells"])
+    for cell, ref in zip(report.cells, recorded["cells"]):
+        assert (cell.n, cell.replicate) == (ref["n"], ref["replicate"])
+        for name in ("d_psi", "ky_fan", "sup_gap", "l1_gap"):
+            assert getattr(cell, name) == pytest.approx(ref[name], rel=1e-9, abs=0.0), name
 
 
 def test_risk_convergence_check_passes_on_clean_study():

@@ -104,7 +104,7 @@ def _sqdist_formula(k, X, Y):
         return np.exp(-d2 / (k.gamma * k.gamma))
     r = np.sqrt(d2) / k.support_radius
     base = np.maximum(0.0, 1.0 - r)
-    return base ** 4 * (4.0 * r + 1.0)
+    return (base * base) * (base * base) * (4.0 * r + 1.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -131,6 +131,64 @@ def test_block_evaluation_matches_formula(kernel, d, n, m, block, seed):
         kernels_mod._BLOCK_ENTRIES = saved
     assert np.array_equal(K, expected)
     np.testing.assert_allclose(fa, K @ a, rtol=1e-12, atol=1e-12 * np.abs(a).sum())
+
+
+def test_wendland_squarings_match_power_form():
+    # r = 0, 0.0001, ..., 1.2 with the support boundary r = 1 on the grid
+    r = np.round(np.linspace(0.0, 1.2, 12001), 12)
+    assert 1.0 in r
+    values = kernels_mod.pairwise(WendlandC2(1.0), np.zeros((1, 1)), r[:, None])[0]
+    powered = np.power(np.maximum(0.0, 1.0 - r), 4) * (4.0 * r + 1.0)
+    assert np.all(np.abs(values - powered) <= 1e-15 * powered)
+    assert values[0] == 1.0
+    assert np.all(values[r >= 1.0] == 0.0)
+
+
+def _at_radius(rng, centers, radius, k, d):
+    """A point at distance radius * (1 + k 2^-52) from a random centre, along the first axis or not."""
+    c = centers[rng.integers(len(centers))]
+    u = np.eye(d)[0] if rng.random() < 0.5 else rng.normal(size=d)
+    u *= rng.choice([-1.0, 1.0]) / np.linalg.norm(u)
+    return c + radius * (1.0 + k * 2.0**-52) * u
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    radius=st.sampled_from([0.05, 0.3, 1.0, 2.5]),
+    d=st.sampled_from([1, 3]),
+    n=st.integers(1, 60),
+    m=st.integers(1, 40),
+    duplicates=st.integers(0, 5),
+    boundary=st.integers(0, 20),
+    block=st.sampled_from([1, 7, 64, 2**18]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_wendland_matvec_skips_only_zero_columns(radius, d, n, m, duplicates, boundary, block, seed):
+    rng = np.random.default_rng(seed)
+    k = WendlandC2(radius)
+    C = rng.uniform(-3.0, 3.0, size=(m, d))
+    C = np.concatenate([C, C[rng.integers(m, size=duplicates)]])
+    X = rng.uniform(-3.0, 3.0, size=(n, d))
+    near = [_at_radius(rng, C, radius, int(rng.integers(-4, 5)), d) for _ in range(boundary)]
+    far = C[C[:, 0].argmax()] + 2.0 * radius * np.eye(d)[0]  # every centre at distance >= 2R
+    X = np.concatenate([X, *([np.array(near)] if near else []), far[None, :]])
+    X = np.concatenate([X, X[rng.integers(len(X), size=duplicates)]])
+    X = X[rng.permutation(len(X))]
+    a = rng.normal(size=len(C))
+    K = kernels_mod.pairwise(k, X, C)
+    perm = rng.permutation(len(X))
+    saved = kernels_mod._BLOCK_ENTRIES
+    kernels_mod._BLOCK_ENTRIES = block
+    try:
+        fa = kernels_mod.kernel_matvec(k, X, C, a)
+        permuted = kernels_mod.kernel_matvec(k, X[perm], C, a)
+    finally:
+        kernels_mod._BLOCK_ENTRIES = saved
+    assert np.all(np.abs(fa - K @ a) <= 1e-12 * (np.abs(K) @ np.abs(a)))
+    outside = ~K.any(axis=1)
+    assert outside.sum() >= 1
+    assert np.all(fa[outside] == 0.0)
+    assert np.array_equal(permuted, fa[perm])
 
 
 def test_kernel_matvec_checks_coefficient_shape():
