@@ -276,6 +276,11 @@ class StudyConfig:
             )
         if not (np.isfinite(self.gamma_coeff) and self.gamma_coeff > 0.0):
             raise ValueError(f"gamma_coeff must be positive, got {self.gamma_coeff!r}")
+        for n in (sizes[-1], sizes[0]):  # the smallest and the largest bandwidth
+            try:
+                self.kernel_for(n)
+            except ValueError as exc:
+                raise ValueError(f"gamma_coeff {self.gamma_coeff!r} at n = {n}: {exc}") from None
         if not (np.isfinite(self.lambda_coeff) and self.lambda_coeff > 0.0):
             raise ValueError(f"lambda_coeff must be positive, got {self.lambda_coeff!r}")
         if not isinstance(self.psi, tuple(_PSI_KINDS.values())):

@@ -3,18 +3,24 @@
 Point-level kernels (Gaussian RBF, compactly supported Wendland C^2) are
 evaluated through one row-block path (``_blocks``) so that k(x, y) == k(y, x)
 bitwise, Gram entries agree bitwise with pairwise evaluation, and kernel
-expansions are evaluated without holding the full kernel matrix.  A Wendland
-expansion evaluates, per row block, only the centres whose first coordinate
-lies within the support radius of the block's rows: the skipped columns are
-exactly zero, but the sum runs in sorted order, so it agrees with
-``pairwise(k, X, C) @ a`` to rounding and depends on the block size.  On top
-of them sits a measure-level Gaussian kernel: a Gaussian of the maximum mean
-discrepancy between two empirical measures.
+expansions are evaluated without holding the full kernel matrix.  The row
+blocks of a call are shared out among a few threads (one per CPU, at most
+four); every block and every product of a block is computed as in a serial
+loop, so all results are bitwise independent of the thread count.  A
+Wendland expansion evaluates, per row block, only the centres whose first
+coordinate lies within the support radius of the block's rows: the skipped
+columns are exactly zero, but the sum runs in sorted order, so it agrees
+with ``pairwise(k, X, C) @ a`` to rounding and depends on the block size.
+On top of them sits a measure-level Gaussian kernel: a Gaussian of the
+maximum mean discrepancy between two empirical measures.
 """
 
 from __future__ import annotations
 
 import logging
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +52,59 @@ log = logging.getLogger(__name__)
 _BLOCK_ENTRIES = 1 << 18
 
 
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+# Threads that evaluate the row blocks of one call, the calling thread
+# included: one per CPU this process may run on, but at most four, since each
+# holds its own set of block buffers.
+_WORKERS = min(_cpus(), 4)
+
+# (size, executor) of the _WORKERS - 1 helper threads, created on first use
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _helpers() -> ThreadPoolExecutor:
+    """The pool of _WORKERS - 1 helper threads, replaced when _WORKERS changes."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != _WORKERS - 1:
+            if _pool is not None:
+                _pool[1].shutdown()
+            executor = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="probdense-blocks")
+            _pool = (_WORKERS - 1, executor)
+        return _pool[1]
+
+
+def _forget_pool() -> None:
+    """In a forked child the parent's helper threads do not exist: start afresh."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _check_bandwidth(name: str, value) -> None:
+    """Reject a bandwidth whose square is not a normal double.
+
+    Squared distances are divided by the squared bandwidth (Gaussian) or
+    measured against it (Wendland); below sqrt(tiny) ~ 1.49e-154 they
+    underflow to 0, above sqrt(max) they overflow, and the values are wrong.
+    """
+    if not (value > 0.0 and np.finfo(float).tiny <= value * value < np.inf):
+        raise ValueError(
+            f"{name} must be a positive real whose square is a normal double "
+            f"(1.5e-154 to 1.3e154), got {value!r}"
+        )
+
+
 @dataclass(frozen=True)
 class GaussianRBF:
     """Gaussian radial kernel exp(-||x - y||^2 / gamma^2)."""
@@ -53,8 +112,7 @@ class GaussianRBF:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.gamma) and self.gamma > 0.0):
-            raise ValueError(f"gamma must be a positive finite real, got {self.gamma!r}")
+        _check_bandwidth("gamma", self.gamma)
 
     def _transform(self, d2: np.ndarray, work: np.ndarray) -> None:
         """Overwrite squared distances with exp(-d2 / gamma^2); work is unused."""
@@ -76,10 +134,7 @@ class WendlandC2:
     support_radius: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.support_radius) and self.support_radius > 0.0):
-            raise ValueError(
-                f"support_radius must be a positive finite real, got {self.support_radius!r}"
-            )
+        _check_bandwidth("support_radius", self.support_radius)
 
     def _transform(self, d2: np.ndarray, work: np.ndarray) -> None:
         """Overwrite squared distances with the kernel; work is same-shape scratch."""
@@ -113,8 +168,7 @@ class MeasureGaussian:
     def __post_init__(self):
         if not isinstance(self.base, _POINT_KERNELS):
             raise TypeError("base of a measure-level kernel must be a point-level kernel")
-        if not (np.isfinite(self.gamma) and self.gamma > 0.0):
-            raise ValueError(f"gamma must be a positive finite real, got {self.gamma!r}")
+        _check_bandwidth("gamma", self.gamma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,44 +204,80 @@ def _point_pair(k, X, Y) -> tuple[np.ndarray, np.ndarray]:
     return X, Y
 
 
-def _blocks(k, X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None, columns=None):
-    """Yield (rows, cols, K[rows, cols]) for consecutive row blocks of K[i, j] = k(X[i], Y[j]).
+def _blocks(k, X: np.ndarray, Y: np.ndarray, out=None, consume=None, columns=None) -> None:
+    """Build K[i, j] = k(X[i], Y[j]) in consecutive row blocks, handing each to consume.
 
     Each block is built in place from explicit coordinate differences (never
     the expanded dot-product identity): subtract, square, sum over the
     coordinate axis when d > 1, then the kernel's transform.  Blocks are
-    views of ``out`` when given, else of one scratch buffer that the next
-    block overwrites.  ``columns(start, stop)``, when given, returns the
-    slice of Y that the block of rows start:stop covers (all of Y
+    views of ``out`` when given, else of a scratch buffer that the next block
+    overwrites; ``consume(rows, cols, block)``, when given, runs on each block
+    right after it is built.  ``columns(start, stop)``, when given, returns
+    the slice of Y that the block of rows start:stop covers (all of Y
     otherwise); the block then holds only those columns.
+
+    The row split depends on _BLOCK_ENTRIES and the shapes only.  With w =
+    min(_WORKERS, number of blocks) > 1, thread j of w (the calling thread
+    is thread 0) builds and consumes blocks j, j + w, ... in its own
+    buffers, so every block, and every consume call, is the same as in a
+    serial loop; consume must only write to its block's rows.  Memory is w
+    sets of block buffers, all allocated by the calling thread.  The call
+    returns, or raises the first error, once every thread is done.  With
+    ``columns`` the loop stays serial: a block of a Wendland window holds only
+    the in-support columns, and threading those measured slower and raised
+    the peak RSS.
     """
     n, d = X.shape
     m = Y.shape[0]
     rows = min(n, max(1, _BLOCK_ENTRIES // (m * d)))
-    # flat buffers, so that a block narrower than Y is still a contiguous prefix
-    diff = np.empty(rows * m * d) if d > 1 else None
-    scratch = np.empty(rows * m) if out is None else None
-    work = np.empty(rows * m)
-    cols = slice(0, m)
-    for start in range(0, n, rows):
-        stop = min(n, start + rows)
-        size = stop - start
-        if columns is not None:
-            cols = columns(start, stop)
-        Yb = Y[cols]
-        shape = (size, Yb.shape[0])
-        entries = shape[0] * shape[1]
-        block = scratch[:entries].reshape(shape) if out is None else out[start:stop]
-        if d == 1:
-            np.subtract(X[start:stop], Yb.T, out=block)
-            np.multiply(block, block, out=block)
-        else:
-            t = diff[: entries * d].reshape(shape + (d,))
-            np.subtract(X[start:stop, None, :], Yb[None, :, :], out=t)
-            np.multiply(t, t, out=t)
-            np.sum(t, axis=-1, out=block)
-        k._transform(block, work[:entries].reshape(shape))
-        yield slice(start, stop), cols, block
+    starts = range(0, n, rows)
+    w = 1 if columns is not None else min(_WORKERS, len(starts))
+
+    def share(j, diff, scratch, work):
+        cols = slice(0, m)
+        for start in starts[j::w]:
+            stop = min(n, start + rows)
+            size = stop - start
+            if columns is not None:
+                cols = columns(start, stop)
+            Yb = Y[cols]
+            shape = (size, Yb.shape[0])
+            entries = shape[0] * shape[1]
+            block = scratch[:entries].reshape(shape) if out is None else out[start:stop]
+            if d == 1:
+                np.subtract(X[start:stop], Yb.T, out=block)
+                np.multiply(block, block, out=block)
+            else:
+                t = diff[: entries * d].reshape(shape + (d,))
+                np.subtract(X[start:stop, None, :], Yb[None, :, :], out=t)
+                np.multiply(t, t, out=t)
+                np.sum(t, axis=-1, out=block)
+            k._transform(block, work[:entries].reshape(shape))
+            if consume is not None:
+                consume(slice(start, stop), cols, block)
+
+    # flat buffers, so that a block narrower than Y is still a contiguous
+    # prefix; allocated here, since buffers that pool threads allocate come
+    # from per-thread malloc arenas and raise the peak RSS
+    buffers = [
+        (
+            np.empty(rows * m * d) if d > 1 else None,
+            np.empty(rows * m) if out is None else None,
+            np.empty(rows * m),
+        )
+        for _ in range(w)
+    ]
+    if w == 1:
+        share(0, *buffers[0])
+        return
+    pool = _helpers()
+    futures = [pool.submit(share, j, *buffers[j]) for j in range(1, w)]
+    try:
+        share(0, *buffers[0])
+    finally:
+        wait(futures)  # no thread may still write into out once the call is over
+    for future in futures:
+        future.result()
 
 
 def _kernel_diag(k, n: int) -> np.ndarray:
@@ -205,8 +295,7 @@ def pairwise(k, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """
     X, Y = _point_pair(k, X, Y)
     out = np.empty((X.shape[0], Y.shape[0]))
-    for _ in _blocks(k, X, Y, out):
-        pass
+    _blocks(k, X, Y, out)
     return out
 
 
@@ -214,9 +303,12 @@ def kernel_matvec(k, X, C, a) -> np.ndarray:
     """pairwise(k, X, C) @ a without forming the (len(X), len(C)) matrix.
 
     Each row block is multiplied by ``a`` as soon as it is built, so memory
-    stays bounded by the block size.  For a Gaussian kernel, when all rows
-    fit in one block the result is bitwise equal to ``pairwise(k, X, C) @ a``;
-    otherwise it agrees up to the rounding of row-split BLAS products.
+    stays bounded by a few blocks.  For a Gaussian kernel the row blocks are
+    built and multiplied on the ``_blocks`` threads, each block by the same
+    gemv call as in a serial loop, so the result is bitwise independent of
+    the thread count.  When all rows fit in one block it is bitwise equal to
+    ``pairwise(k, X, C) @ a``; otherwise it agrees up to the rounding of
+    row-split BLAS products.
 
     For a Wendland kernel the rows and the centres are sorted by their first
     coordinate, and each block of sorted rows is evaluated only against the
@@ -227,7 +319,8 @@ def kernel_matvec(k, X, C, a) -> np.ndarray:
     sorted order over a window that depends on the block size, so the result
     agrees with ``pairwise(k, X, C) @ a`` to rounding.  The rows are sorted
     on all coordinates and equal rows are evaluated once, so the value of
-    each row is bitwise independent of the row order.
+    each row is bitwise independent of the row order.  This windowed loop
+    runs on the calling thread alone.
     """
     X, C = _point_pair(k, X, C)
     a = np.asarray(a, dtype=float)
@@ -235,8 +328,7 @@ def kernel_matvec(k, X, C, a) -> np.ndarray:
         raise ValueError(f"a must have shape ({C.shape[0]},), got {a.shape}")
     out = np.empty(X.shape[0])
     if not isinstance(k, WendlandC2):
-        for rows, _, block in _blocks(k, X, C):
-            np.matmul(block, a, out=out[rows])
+        _blocks(k, X, C, consume=lambda rows, _, block: np.matmul(block, a, out=out[rows]))
         return out
     order = np.lexsort(X.T[::-1])
     X = X[order]
@@ -259,8 +351,11 @@ def kernel_matvec(k, X, C, a) -> np.ndarray:
         return slice(lo, hi)
 
     values = np.empty(X.shape[0])
-    for rows, cols, block in _blocks(k, X, C, columns=columns):
+
+    def consume(rows, cols, block):
         np.matmul(block, a[cols], out=values[rows])
+
+    _blocks(k, X, C, consume=consume, columns=columns)
     out[order] = values[np.cumsum(distinct) - 1]
     return out
 

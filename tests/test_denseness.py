@@ -182,6 +182,8 @@ def test_config_defaults():
         dict(replicates=0),
         dict(kernel_family="cauchy"),
         dict(gamma_coeff=0.0),
+        dict(gamma_coeff=1e-160),  # bandwidth squares underflow
+        dict(gamma_coeff=1e155),  # and overflow
         dict(lambda_coeff=-1.0),
         dict(psi=0.5),
         dict(eval_sample_size=0),
