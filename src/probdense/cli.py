@@ -36,6 +36,17 @@ from .util import ConfigError, NumericalError, _fmt
 log = logging.getLogger(__name__)
 
 
+def _seed(raw: str) -> int:
+    """A --seed value: a nonnegative integer, as the seed key of a study config."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {raw!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="probdense",
@@ -55,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="input config file (CSV for 'report')")
         p.add_argument("--out", required=True, help="output file path")
         if name == "study":
-            p.add_argument("--seed", type=int, default=None, help="override the configured seed")
+            p.add_argument("--seed", type=_seed, default=None, help="override the configured seed")
         p.add_argument(
             "-v",
             "--verbose",
@@ -108,7 +119,10 @@ def _cmd_fit(args) -> int:
         fitted, info = fit_erm(data, job.kernel, job.loss, cfg)
         detail = f"objective {info.objective:.6g} after {info.n_iters} iterations"
     else:
-        fitted, info = fit_pairwise(data, job.kernel, job.loss, cfg)
+        try:
+            fitted, info = fit_pairwise(data, job.kernel, job.loss, cfg)
+        except ValueError as exc:  # too few rows to form a pair
+            raise ConfigError(f"dataset {job.data_path}: {exc}") from None
         detail = f"direct solve, objective {info.objective:.6g}"
     _write_csv(
         args.out,

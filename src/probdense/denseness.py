@@ -267,6 +267,8 @@ class StudyConfig:
             raise ValueError(f"sample_sizes must be strictly increasing, got {sizes!r}")
         object.__setattr__(self, "sample_sizes", sizes)
         object.__setattr__(self, "seed", int(self.seed))
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if self.kernel_family not in _KERNEL_FAMILIES:

@@ -5,12 +5,13 @@ evaluated through one row-block path (``_blocks``) so that k(x, y) == k(y, x)
 bitwise, Gram entries agree bitwise with pairwise evaluation, and kernel
 expansions are evaluated without holding the full kernel matrix.  The row
 blocks of a call are shared out among a few threads (one per CPU, at most
-four); every block and every product of a block is computed as in a serial
-loop, so all results are bitwise independent of the thread count.  A
-Wendland expansion evaluates, per row block, only the centres whose first
-coordinate lies within the support radius of the block's rows: the skipped
-columns are exactly zero, but the sum runs in sorted order, so it agrees
-with ``pairwise(k, X, C) @ a`` to rounding and depends on the block size.
+four) that live for that call only; every block and every product of a
+block is computed as in a serial loop, so all results are bitwise
+independent of the thread count.  A Wendland expansion evaluates, per row
+block, only the centres whose first coordinate lies within the support
+radius of the block's rows: the skipped columns are exactly zero, but the
+sum runs in sorted order, so it agrees with ``pairwise(k, X, C) @ a`` to
+rounding and depends on the block size.
 On top of them sits a measure-level Gaussian kernel: a Gaussian of the
 maximum mean discrepancy between two empirical measures.
 """
@@ -19,8 +20,7 @@ from __future__ import annotations
 
 import logging
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,33 +63,6 @@ def _cpus() -> int:
 # included: one per CPU this process may run on, but at most four, since each
 # holds its own set of block buffers.
 _WORKERS = min(_cpus(), 4)
-
-# (size, executor) of the _WORKERS - 1 helper threads, created on first use
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _helpers() -> ThreadPoolExecutor:
-    """The pool of _WORKERS - 1 helper threads, replaced when _WORKERS changes."""
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] != _WORKERS - 1:
-            if _pool is not None:
-                _pool[1].shutdown()
-            executor = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="probdense-blocks")
-            _pool = (_WORKERS - 1, executor)
-        return _pool[1]
-
-
-def _forget_pool() -> None:
-    """In a forked child the parent's helper threads do not exist: start afresh."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
 
 def _check_bandwidth(name: str, value) -> None:
     """Reject a bandwidth whose square is not a normal double.
@@ -221,8 +194,9 @@ def _blocks(k, X: np.ndarray, Y: np.ndarray, out=None, consume=None, columns=Non
     is thread 0) builds and consumes blocks j, j + w, ... in its own
     buffers, so every block, and every consume call, is the same as in a
     serial loop; consume must only write to its block's rows.  Memory is w
-    sets of block buffers, all allocated by the calling thread.  The call
-    returns, or raises the first error, once every thread is done.  With
+    sets of block buffers, all allocated by the calling thread.  The w - 1
+    helper threads are started for the call and have exited before it
+    returns or raises the first error, so nothing outlives it.  With
     ``columns`` the loop stays serial: a block of a Wendland window holds only
     the in-support columns, and threading those measured slower and raised
     the peak RSS.
@@ -257,7 +231,7 @@ def _blocks(k, X: np.ndarray, Y: np.ndarray, out=None, consume=None, columns=Non
                 consume(slice(start, stop), cols, block)
 
     # flat buffers, so that a block narrower than Y is still a contiguous
-    # prefix; allocated here, since buffers that pool threads allocate come
+    # prefix; allocated here, since buffers that helper threads allocate come
     # from per-thread malloc arenas and raise the peak RSS
     buffers = [
         (
@@ -270,12 +244,11 @@ def _blocks(k, X: np.ndarray, Y: np.ndarray, out=None, consume=None, columns=Non
     if w == 1:
         share(0, *buffers[0])
         return
-    pool = _helpers()
-    futures = [pool.submit(share, j, *buffers[j]) for j in range(1, w)]
-    try:
+    # leaving the with block waits for every helper, so no thread still
+    # writes into out once the call is over
+    with ThreadPoolExecutor(w - 1, thread_name_prefix="probdense-blocks") as pool:
+        futures = [pool.submit(share, j, *buffers[j]) for j in range(1, w)]
         share(0, *buffers[0])
-    finally:
-        wait(futures)  # no thread may still write into out once the call is over
     for future in futures:
         future.result()
 

@@ -111,18 +111,15 @@ def kernel_lp_norm(k, quad: QuadratureSpec) -> float:
 def apply_integral_operator(k, g, quad: QuadratureSpec, x):
     """Smoothing operator sum_j w_j k(x, x_j) g(x_j).
 
-    Maps any evaluable g to a function in the kernel's span; accepts a
-    single point or an (m, d) batch for x.
+    Maps any evaluable g to a function in the kernel's span, the expansion
+    with coefficients w_j g(x_j), evaluated at a single point or an (m, d)
+    batch x; a g with non-finite values raises ValueError.
     """
     atoms = quad.measure.atoms
     gv = np.asarray(g(atoms), dtype=float)
     if gv.shape != (atoms.shape[0],):
         raise ValueError(f"g must return shape ({atoms.shape[0]},), got {gv.shape}")
-    arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    X = arr[None, :] if single else arr
-    values = kernel_matvec(k, X, atoms, quad.measure.weights * gv)
-    return float(values[0]) if single else values
+    return RkhsFunction(k, atoms, quad.measure.weights * gv)(x)
 
 
 def injectivity_probe(k, pts) -> float:

@@ -460,6 +460,37 @@ def test_cli_rejects_bad_sampler_parameters_as_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_negative_seed_is_rejected_without_a_traceback(tmp_path, capsys):
+    cfg = write(tmp_path, MINIMAL_STUDY.replace("seed = 7", "seed = -3"))
+    with pytest.raises(ConfigError, match=rf"{re.escape(str(cfg))}:4: seed must be >= 0, got -3"):
+        parse_study_config(cfg)
+    out = tmp_path / "o.csv"
+    assert run_cli("study", "--config", str(cfg), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {cfg}:4: seed must be >= 0" in err
+    assert "Traceback" not in err
+    # the --seed override is a usage error
+    good = write(tmp_path, TINY_STUDY, "good.ini")
+    for seed in ("-1", "x"):
+        assert run_cli("study", "--config", str(good), "--out", str(out), "--seed", seed) == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err and "argument --seed: must be" in err
+        assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini", "good.ini"]
+
+
+def test_cli_fit_pairwise_one_row_dataset_is_a_config_error(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("0.5,1.0\n")
+    cfg = write(tmp_path, FIT_BASE.format(data=data, loss="ranking_squared", extra=""))
+    out = tmp_path / "fit.csv"
+    assert run_cli("fit", "--config", str(cfg), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert f"config error: dataset {data}: pairwise fitting needs at least 2 observations" in err
+    assert "Traceback" not in err
+    assert not out.exists() and not (tmp_path / "fit.csv.manifest.txt").exists()
+
+
 @pytest.mark.parametrize(
     "command,extra",
     [

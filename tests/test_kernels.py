@@ -258,6 +258,11 @@ def test_results_are_bitwise_independent_of_the_worker_count(kernel, d, n, m, bl
         assert all(np.array_equal(x, y) for x, y in zip(results[0], other))
 
 
+def _block_threads():
+    """The live helper threads of _blocks."""
+    return [t for t in threading.enumerate() if t.name.startswith("probdense-blocks")]
+
+
 @pytest.mark.parametrize("evaluate", ["pairwise", "kernel_matvec"])
 def test_block_failure_propagates_after_every_thread_is_done(monkeypatch, evaluate):
     rng = np.random.default_rng(53)
@@ -286,6 +291,7 @@ def test_block_failure_propagates_after_every_thread_is_done(monkeypatch, evalua
     with pytest.raises(RuntimeError, match="second block failed"):
         run()
     at_return = calls[0]
+    assert not _block_threads()
     time.sleep(0.05)
     assert calls[0] == at_return  # no thread still builds blocks
     monkeypatch.setattr(GaussianRBF, "_transform", real)
@@ -298,18 +304,26 @@ def test_helper_threads_are_bounded_by_the_worker_count(monkeypatch):
     monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", 120)  # two rows per block
     monkeypatch.setattr(kernels_mod, "_WORKERS", 3)
     real = GaussianRBF._transform
-    builders = set()  # every thread that built a block
+    lock, inside, peak = threading.Lock(), [0], [0]  # threads building a block now, and at most
 
     def recorded(self, d2, work):
-        builders.add(threading.current_thread())
-        real(self, d2, work)
+        with lock:
+            inside[0] += 1
+            peak[0] = max(peak[0], inside[0])
+        try:
+            time.sleep(0)  # let the other threads in while this one is inside
+            real(self, d2, work)
+        finally:
+            with lock:
+                inside[0] -= 1
 
     monkeypatch.setattr(GaussianRBF, "_transform", recorded)
     baseline = threading.active_count()
     for _ in range(200):
         kernels_mod.kernel_matvec(GaussianRBF(), X, C, a)
-    assert threading.active_count() <= baseline + 3 - 1
-    assert len(builders) <= 3  # the calling thread and the same two helpers throughout
+        assert threading.active_count() == baseline  # the helpers have exited
+        assert not _block_threads()
+    assert 1 < peak[0] <= 3
 
 
 def _matvec_matches(X, C, a, expected):

@@ -194,6 +194,13 @@ def test_integral_operator_checks_g_output_shape():
         apply_integral_operator(GaussianRBF(), lambda pts: np.zeros(3), quad, [0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_integral_operator_rejects_non_finite_g(bad):
+    quad = QuadratureSpec(EmpiricalMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5])))
+    with pytest.raises(ValueError, match="finite"):
+        apply_integral_operator(GaussianRBF(), lambda pts: np.array([1.0, bad]), quad, [0.0])
+
+
 def test_injectivity_probe_frozen_values():
     assert injectivity_probe(GaussianRBF(), np.array([[0.4]])) == 1.0
     v = injectivity_probe(GaussianRBF(1.0), np.array([[0.0], [1.0]]))
