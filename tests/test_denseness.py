@@ -30,6 +30,7 @@ from probdense import (
     uniform_sampler,
 )
 from probdense import denseness as denseness_mod
+from probdense.config import parse_study_config
 from probdense.reporting import emit_report, read_report_csv
 from probdense.util import derive_rng
 
@@ -269,6 +270,31 @@ def test_wendland_study_matches_recorded_values():
             sampler="truncated_gaussian",
         )
     )
+    assert not report.partial
+    assert len(report.cells) == len(recorded["cells"])
+    for cell, ref in zip(report.cells, recorded["cells"]):
+        assert (cell.n, cell.replicate) == (ref["n"], ref["replicate"])
+        for name in ("d_psi", "ky_fan", "sup_gap", "l1_gap"):
+            assert getattr(cell, name) == pytest.approx(ref[name], rel=1e-9, abs=0.0), name
+
+
+LOWRANK_STUDY = Path(__file__).parent / "data" / "lowrank_study.json"
+
+
+def test_low_rank_solve_matches_the_dense_study_values():
+    # recorded with the dense Gram matrix and a full Cholesky; the n = 1024
+    # cells now take the pivoted-Cholesky solve and must agree to rel 1e-9
+    recorded = json.loads(LOWRANK_STUDY.read_text())
+    cfg = parse_study_config(Path(__file__).parents[1] / recorded["config"])
+    report = run_study(
+        replace(
+            cfg,
+            sample_sizes=tuple(recorded["sample_sizes"]),
+            replicates=recorded["replicates"],
+            eval_sample_size=None,
+        )
+    )
+    assert cfg.seed == recorded["seed"]
     assert not report.partial
     assert len(report.cells) == len(recorded["cells"])
     for cell, ref in zip(report.cells, recorded["cells"]):

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
@@ -300,18 +300,129 @@ def test_in_place_factorization_is_bitwise_unchanged(monkeypatch):
         assert np.array_equal(f.coefficients, reference(data, kernel, 1e-3, fail_once))
 
 
+def _peak_fit_memory(data, kernel, lam):
+    """Peak traced allocation of one fit_kernel_ridge call, in bytes."""
+    tracemalloc.start()
+    try:
+        fit_kernel_ridge(data, kernel, lam)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_ridge_factors_the_system_in_place():
     rng = np.random.default_rng(61)
     n = 2048
     data = Dataset(rng.uniform(0, 1, (n, 1)), rng.normal(size=n))
-    tracemalloc.start()
-    try:
-        fit_kernel_ridge(data, GaussianRBF(0.1), 1e-3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # a Wendland Gram matrix is not low-rank, so this fit takes the dense path;
     # K alone is 32 MiB; a copying factorization peaks at 64 MiB
-    assert peak < 40 * 2**20
+    assert _peak_fit_memory(data, WendlandC2(0.1), 1e-3) < 40 * 2**20
+
+
+def test_large_gaussian_ridge_never_forms_the_gram_matrix():
+    rng = np.random.default_rng(67)
+    n = 4096
+    data = Dataset(rng.uniform(0, 1, (n, 1)), rng.normal(size=n))
+    # the study's bandwidth and penalty; the Gram matrix alone is 128 MiB
+    assert _peak_fit_memory(data, GaussianRBF(n ** (-1 / 3)), 1.0 / n) < 32 * 2**20
+
+
+def _solve_messages(caplog, fit):
+    """Run fit() and return the messages probdense.erm logged meanwhile."""
+    caplog.clear()
+    result = fit()
+    assert all((r.name, r.levelno) == ("probdense.erm", logging.INFO) for r in caplog.records)
+    return result, [r.getMessage() for r in caplog.records]
+
+
+def test_ridge_logs_the_solve_path(monkeypatch, caplog):
+    caplog.set_level(logging.INFO, logger="probdense.erm")
+    rng = np.random.default_rng(71)
+
+    def fit(n, kernel, lam):
+        data = Dataset(rng.uniform(0, 1, (n, 1)), rng.normal(size=n))
+        return _solve_messages(caplog, lambda: fit_kernel_ridge(data, kernel, lam))[1]
+
+    assert fit(512, GaussianRBF(0.1), 1e-3) == ["dense solve: 512 points fit one block"]
+    [message] = fit(1024, GaussianRBF(1024 ** (-1 / 3)), 1.0 / 1024)
+    assert message.startswith("low-rank solve: rank ") and message.endswith(" of 1024")
+    assert 0 < int(message.split()[3]) <= 1024 // 8
+    assert fit(600, WendlandC2(600 ** (-1 / 3)), 1.0 / 600) == ["dense solve: rank cap 75 reached"]
+    monkeypatch.setattr(erm_mod, "cho_factor", _counting_cho_factor({"n": 0, "calls": 0}, forced=1))
+    [message] = fit(1024, GaussianRBF(1024 ** (-1 / 3)), 1.0 / 1024)
+    assert message.startswith("dense solve: rank-") and message.endswith(" factor failed")
+
+
+def test_ridge_fallback_is_bitwise_dense(monkeypatch, caplog):
+    caplog.set_level(logging.INFO, logger="probdense.erm")
+    rng = np.random.default_rng(73)
+    cases = [
+        # a Wendland Gram matrix is not low-rank
+        (rng.uniform(0, 1, (700, 1)), WendlandC2(700 ** (-1 / 3)), 1.0 / 700, None),
+        # a penalty so small that the pivots never reach 1e-14 * n * lam
+        (rng.uniform(0, 1, (600, 2)), GaussianRBF(0.2), 1e-10, None),
+        # a low-rank fit whose r x r factorization fails
+        (rng.uniform(0, 1, (1024, 1)), GaussianRBF(1024 ** (-1 / 3)), 1.0 / 1024, 1),
+    ]
+    for X, kernel, lam, forced in cases:
+        n = X.shape[0]
+        y = rng.normal(size=n)
+        dense = erm_mod._jittered_cholesky_solve(gram_matrix(kernel, X), n * lam, y, lam)
+        if forced is not None:
+            monkeypatch.setattr(erm_mod, "cho_factor", _counting_cho_factor({"n": 0, "calls": 0}, forced))
+        f, [message] = _solve_messages(caplog, lambda: fit_kernel_ridge(Dataset(X, y), kernel, lam))
+        assert message.startswith("dense solve: ")
+        assert np.array_equal(f.coefficients, dense)
+
+
+def _ridge_residual_bound(n, shift):
+    """Residual bound of a low-rank ridge solve, relative to ||y||.
+
+    E = K - L L' is PSD with trace E <= n * 1e-14 * shift, and ||alpha|| <=
+    ||y|| / shift, so ||E alpha|| <= n * 1e-14 * ||y||.  The rest is the
+    rounding of solving a system of norm up to n + shift, which any
+    backward-stable solve shares: 1e-12, and about n / shift units of
+    roundoff once the shift is small.
+    """
+    return n * 1e-14 + 1e-12 + 1e-15 * n / shift
+
+
+def _check_low_rank_residual(caplog, X, y, kernel, lam):
+    n = X.shape[0]
+    f, [message] = _solve_messages(caplog, lambda: fit_kernel_ridge(Dataset(X, y), kernel, lam))
+    if message.startswith("dense solve: "):
+        return None
+    K = gram_matrix(kernel, X)
+    residual = np.linalg.norm(K @ f.coefficients + (n * lam) * f.coefficients - y)
+    assert residual <= _ridge_residual_bound(n, n * lam) * np.linalg.norm(y)
+    return int(message.removeprefix("low-rank solve: rank ").removesuffix(f" of {n}"))
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n=st.integers(513, 1200),
+    d=st.integers(1, 2),
+    gamma=st.floats(0.05, 2.0),
+    lam=st.floats(-9.0, 0.0).map(lambda e: 10.0**e),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_low_rank_ridge_residual_bound(caplog, n, d, gamma, lam, seed):
+    caplog.set_level(logging.INFO, logger="probdense.erm")
+    rng = np.random.default_rng(seed)
+    _check_low_rank_residual(caplog, rng.uniform(0, 1, (n, d)), rng.normal(size=n), GaussianRBF(gamma), lam)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_low_rank_ridge_on_duplicated_inputs(caplog, d):
+    # 1024 draws of 40 distinct points: rank at most 40, and the duplicates'
+    # residual diagonals fall to rounding level with their pivot's
+    caplog.set_level(logging.INFO, logger="probdense.erm")
+    rng = np.random.default_rng(79 + d)
+    n = 1024
+    X = rng.uniform(0, 1, (40, d))[rng.integers(0, 40, n)]
+    y = rng.normal(size=n)
+    rank = _check_low_rank_residual(caplog, X, y, GaussianRBF(n ** (-1 / 3)), 1.0 / n)
+    assert rank is not None and rank <= 40
 
 
 def test_subgradient_zero_data_stays_at_zero():
