@@ -9,7 +9,12 @@ A ridge fit whose Gram matrix exceeds one evaluation block is solved
 through a greedy pivoted Cholesky factor K ~ L L' (Harbrecht, Peters &
 Schneider, Appl. Numer. Math. 62, 2012) and the Woodbury identity (Fine &
 Scheinberg, JMLR 2, 2001), so it never forms the n x n Gram matrix; when
-the numerical rank is not small it falls back to the dense solve.
+the numerical rank is not small, and for compactly supported kernels, it
+falls back to the dense solve.  A low-rank fit also yields its projection
+onto the r pivot sections k(., x_p), an expansion over r centres with a
+certified sup-norm distance to the full one; greedy pivoting is the
+P-greedy point selection of De Marchi, Schaback & Wendland (Adv. Comput.
+Math. 23, 2005).
 """
 
 from __future__ import annotations
@@ -18,9 +23,9 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from .kernels import _BLOCK_ENTRIES, _kernel_diag, gram_matrix, pairwise
+from .kernels import _BLOCK_ENTRIES, WendlandC2, _kernel_diag, gram_matrix, pairwise
 from .rkhs import RkhsFunction
 from .util import NumericalError, as_points
 
@@ -43,9 +48,12 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 # Low-rank ridge solves: the pivoted Cholesky stops once the largest residual
-# diagonal is at most _PIVOT_TOL * n * lam, and gives up (dense solve) when
-# that takes more than min(n // 8, _MAX_RANK) pivots.
+# diagonal is at most max(_PIVOT_TOL * n * lam, _PIVOT_FLOOR * max k(x, x)),
+# and gives up (dense solve) when that takes more than min(n // 8, _MAX_RANK)
+# pivots.  The floor keeps every pivot above the rounding of the accumulated
+# residual diagonals, a few units of roundoff of the largest diagonal.
 _PIVOT_TOL = 1e-14
+_PIVOT_FLOOR = 8.0 * np.finfo(float).eps
 _MAX_RANK = 512
 
 
@@ -226,30 +234,36 @@ def _jittered_cholesky_solve(A: np.ndarray, shift: float, b: np.ndarray, lam: fl
     return cho_solve(factor, b, check_finite=False)
 
 
-def _pivoted_cholesky(kernel, X: np.ndarray, tol: float, cap: int) -> np.ndarray | None:
-    """Greedy pivoted Cholesky: Lt of shape (r, n) with K ~ Lt' Lt, or None past cap pivots.
+def _pivoted_cholesky(kernel, X: np.ndarray, tol: float, cap: int):
+    """Greedy pivoted Cholesky (Lt, pivots, d) with K ~ Lt' Lt, or None past cap pivots.
 
     Each step pivots on the largest residual diagonal (the first index on a
     tie), evaluates that column of K with one pairwise call and subtracts the
-    columns so far; it stops once the largest residual diagonal is <= tol.
-    E = K - Lt' Lt is then positive semidefinite with diag E <= tol, up to
-    rounding.  The pivot choice uses no randomness, so the factor is
-    deterministic.
+    rows so far; it stops once the largest residual diagonal is at most
+    max(tol, _PIVOT_FLOOR * max k(x, x)).  Lt has shape (r, n), pivots holds
+    the r pivot indices in order, so Lt[:, pivots] is upper triangular (below
+    its diagonal it holds rounding, not zeros), and d is the final residual
+    diagonal: E = K - Lt' Lt is positive semidefinite with diag E = d <= that
+    threshold, up to rounding.  The pivot choice uses no randomness, so the
+    factor is deterministic.
     """
     n = X.shape[0]
     Lt = np.empty((cap, n))
+    pivots = np.empty(cap, dtype=np.intp)
     d = _kernel_diag(kernel, n)
+    tol = max(tol, _PIVOT_FLOOR * float(d.max()))
     for r in range(cap):
         i = int(np.argmax(d))
         if d[i] <= tol:
-            return Lt[:r]
+            return Lt[:r], pivots[:r], d
+        pivots[r] = i
         row = Lt[r]
         row[:] = pairwise(kernel, X, X[i : i + 1])[:, 0]
         row -= Lt[:r, i] @ Lt[:r]
         row /= np.sqrt(d[i])
         d -= row * row
         d[i] = 0.0  # exact: the residual vanishes at a pivot
-    return Lt if d.max() <= tol else None
+    return (Lt, pivots, d) if d.max() <= tol else None
 
 
 def _woodbury_solve(Lt: np.ndarray, shift: float, b: np.ndarray) -> np.ndarray | None:
@@ -264,22 +278,17 @@ def _woodbury_solve(Lt: np.ndarray, shift: float, b: np.ndarray) -> np.ndarray |
     return (b - z @ Lt) / shift
 
 
-def fit_kernel_ridge(data: Dataset, kernel, lam: float) -> RkhsFunction:
-    """Solve (K + n * lam * I) alpha = y and return the representer expansion.
+def _ridge_solve(data: Dataset, kernel, lam: float):
+    """fit_kernel_ridge's expansion f, plus its pivot-basis projection and bound.
 
-    With s = n * lam: when the Gram matrix exceeds one evaluation block
-    (n * n > _BLOCK_ENTRIES, so n > 512), K is replaced by a greedy pivoted
-    Cholesky factor L L' stopped at residual diagonal <= 1e-14 * s, and
-    (L L' + s I) alpha = y is solved by Woodbury with one r x r Cholesky.
-    Then ||(K + s I) alpha - y|| <= n * 1e-14 * ||y|| up to rounding, the
-    n x n Gram matrix is never formed, and the result is deterministic but
-    not bitwise the dense solve.  If the rank would exceed min(n // 8, 512)
-    or the r x r factorization fails, and for every smaller fit, the dense
-    path runs: Cholesky of K + s I with escalating jitter (on failure, add
-    1e-12 * trace(K) / n to the diagonal and retry with 10x the jitter, at
-    most three times, then raise NumericalError).  One INFO record from
-    probdense.erm names the path taken.  The expansion holds all n training
-    inputs as centres either way.
+    Returns (f, f_hat, bound).  When the low-rank path ran, f_hat is the
+    RKHS-orthogonal projection of f onto the pivot sections k(., x_p),
+    sum_p beta_p k(., x_p) with beta = B^-1 (Lt alpha) for the upper
+    triangle of the pivot block B = Lt[:, pivots], and for every x
+    |f(x) - f_hat(x)| <= P(x) sqrt(alpha' E alpha) <= bound =
+    sqrt(max k(x, x) * trace E) * ||alpha||, with P the power function of
+    the pivots and E = K - Lt' Lt, up to rounding.  On the dense path f_hat
+    and bound are None.
     """
     if not (np.isfinite(lam) and lam > 0.0):
         raise ValueError(f"lam must be positive, got {lam!r}")
@@ -287,21 +296,53 @@ def fit_kernel_ridge(data: Dataset, kernel, lam: float) -> RkhsFunction:
     shift = n * lam
     if n * n <= _BLOCK_ENTRIES:
         log.info("dense solve: %d points fit one block", n)
+    elif isinstance(kernel, WendlandC2):
+        # a compactly supported kernel's Gram matrix is not low-rank
+        log.info("dense solve: compactly supported kernel")
     else:
         cap = min(n // 8, _MAX_RANK)
-        Lt = _pivoted_cholesky(kernel, data.inputs, _PIVOT_TOL * shift, cap)
-        if Lt is None:
+        factor = _pivoted_cholesky(kernel, data.inputs, _PIVOT_TOL * shift, cap)
+        if factor is None:
             log.info("dense solve: rank cap %d reached", cap)
         else:
+            Lt, pivots, d = factor
             alpha = _woodbury_solve(Lt, shift, data.outputs)
             if alpha is not None:
                 log.info("low-rank solve: rank %d of %d", Lt.shape[0], n)
-                return RkhsFunction(kernel, data.inputs, alpha)
+                beta = solve_triangular(Lt[:, pivots], Lt @ alpha, lower=False, check_finite=False)
+                kmax = float(_kernel_diag(kernel, 1)[0])
+                bound = float(np.sqrt(kmax * d.clip(min=0.0).sum()) * np.linalg.norm(alpha))
+                X = data.inputs
+                return RkhsFunction(kernel, X, alpha), RkhsFunction(kernel, X[pivots], beta), bound
             log.info("dense solve: rank-%d factor failed", Lt.shape[0])
-        del Lt
+            del factor, Lt
     A = gram_matrix(kernel, data.inputs)
     alpha = _jittered_cholesky_solve(A, shift, data.outputs, lam)
-    return RkhsFunction(kernel, data.inputs, alpha)
+    return RkhsFunction(kernel, data.inputs, alpha), None, None
+
+
+def fit_kernel_ridge(data: Dataset, kernel, lam: float) -> RkhsFunction:
+    """Solve (K + n * lam * I) alpha = y and return the representer expansion.
+
+    With s = n * lam: when the Gram matrix exceeds one evaluation block
+    (n * n > _BLOCK_ENTRIES, so n > 512) and the kernel is not compactly
+    supported, K is replaced by a greedy pivoted Cholesky factor L L'
+    stopped at residual diagonal <= max(1e-14 * s, 8 * eps * max k(x, x)),
+    and (L L' + s I) alpha = y is solved by Woodbury with one r x r
+    Cholesky.  Then ||(K + s I) alpha - y|| <= n * 1e-14 * ||y|| plus
+    rounding (where the floor binds, it adds at most 8 * n / s units of
+    roundoff times ||y||, the size of the rounding any solve of the system
+    shares), the n x n Gram matrix is never formed, and the result is
+    deterministic but not bitwise the dense solve.  If the rank would exceed
+    min(n // 8, 512) or the r x r factorization fails, for a WendlandC2
+    kernel, and for every smaller fit, the dense path runs: Cholesky of
+    K + s I with escalating jitter (on failure, add 1e-12 * trace(K) / n to
+    the diagonal and retry with 10x the jitter, at most three times, then
+    raise NumericalError).  One INFO record from probdense.erm names the
+    path taken.  The expansion holds all n training inputs as centres
+    either way.
+    """
+    return _ridge_solve(data, kernel, lam)[0]
 
 
 def fit_erm(data: Dataset, kernel, loss, cfg: FitConfig) -> tuple[RkhsFunction, FitInfo]:

@@ -1,6 +1,8 @@
 """Tests for targets, samplers, and the denseness study driver."""
 
 import json
+import logging
+import re
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from scipy.stats import truncnorm
 
 from probdense import (
     ConvergenceReport,
+    Dataset,
     GaussianRBF,
     IntervalIndicator,
     NumericalError,
@@ -23,6 +26,7 @@ from probdense import (
     StudyConfig,
     WendlandC2,
     fit_approximant,
+    fit_kernel_ridge,
     risk_convergence_check,
     run_study,
     sup_gap_estimate,
@@ -210,6 +214,43 @@ def test_fit_approximant_zero_target_gives_zero_function():
     assert np.array_equal(f.coefficients, np.zeros(10))
 
 
+def test_fit_approximant_evaluates_large_fits_in_the_pivot_basis():
+    target = IntervalIndicator(0.0, 0.5)
+    sampler = uniform_sampler((0.0, 1.0))
+    for n in (64, 512):
+        kernel = GaussianRBF(n ** (-1 / 3))
+        f = fit_approximant(target, n, kernel, 1.0 / n, sampler, np.random.default_rng(n))
+        X = sampler(np.random.default_rng(n), n)
+        ridge = fit_kernel_ridge(Dataset(X, target(X)), kernel, 1.0 / n)
+        assert np.array_equal(f.centers, ridge.centers)
+        assert np.array_equal(f.coefficients, ridge.coefficients)
+    # the study's largest cell: the projection has at most n // 8 centres,
+    # all training inputs, and stays within rounding of the full expansion
+    n = 4096
+    kernel = GaussianRBF(n ** (-1 / 3))
+    f = fit_approximant(target, n, kernel, 1.0 / n, sampler, np.random.default_rng(n))
+    X = sampler(np.random.default_rng(n), n)
+    ridge = fit_kernel_ridge(Dataset(X, target(X)), kernel, 1.0 / n)
+    assert f.centers.shape[0] <= n // 8
+    assert np.isin(f.centers[:, 0], X[:, 0]).all()
+    grid = np.linspace(0.0, 1.0, 2001)[:, None]
+    assert np.abs(f(grid) - ridge(grid)).max() <= 1e-12
+
+
+def test_pivot_basis_cells_are_logged(caplog):
+    caplog.set_level(logging.INFO, logger="probdense.denseness")
+    run_study(tiny_config(sample_sizes=(64, 1024), replicates=1, eval_sample_size=64))
+    pattern = r"pivot-basis evaluation: (\d+) of (\d+) centres, sup \|f - f_hat\| <= (\S+)"
+    found = [
+        re.fullmatch(pattern, r.getMessage())
+        for r in caplog.records
+        if r.name == "probdense.denseness" and r.getMessage().startswith("pivot-basis")
+    ]
+    assert len(found) == 1 and found[0] is not None
+    rank, n, bound = found[0].groups()
+    assert n == "1024" and 0 < int(rank) <= 1024 // 8 and float(bound) > 0.0
+
+
 def test_sup_gap_of_target_with_itself_is_zero():
     f = IntervalIndicator(0.1, 0.6)
     assert sup_gap_estimate(f, f, 101) == 0.0
@@ -312,14 +353,14 @@ def test_risk_convergence_check_passes_on_clean_study():
 
 
 def test_run_study_continues_past_failing_cell(monkeypatch):
-    real = denseness_mod.fit_kernel_ridge
+    real = denseness_mod._ridge_solve
 
     def flaky(data, kernel, lam):
         if data.n == 8:
             raise NumericalError("forced failure")
         return real(data, kernel, lam)
 
-    monkeypatch.setattr(denseness_mod, "fit_kernel_ridge", flaky)
+    monkeypatch.setattr(denseness_mod, "_ridge_solve", flaky)
     report = run_study(tiny_config())
     assert report.partial
     good = [c for c in report.cells if c.n == 4]

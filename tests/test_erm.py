@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from probdense import (
     AbsoluteLoss,
@@ -29,6 +29,7 @@ from probdense import (
     WendlandC2,
 )
 from probdense import erm as erm_mod
+from probdense.kernels import pairwise
 
 
 def separated_problem(rng, n):
@@ -347,7 +348,8 @@ def test_ridge_logs_the_solve_path(monkeypatch, caplog):
     [message] = fit(1024, GaussianRBF(1024 ** (-1 / 3)), 1.0 / 1024)
     assert message.startswith("low-rank solve: rank ") and message.endswith(" of 1024")
     assert 0 < int(message.split()[3]) <= 1024 // 8
-    assert fit(600, WendlandC2(600 ** (-1 / 3)), 1.0 / 600) == ["dense solve: rank cap 75 reached"]
+    assert fit(600, WendlandC2(600 ** (-1 / 3)), 1.0 / 600) == ["dense solve: compactly supported kernel"]
+    assert fit(600, GaussianRBF(0.005), 1.0 / 600) == ["dense solve: rank cap 75 reached"]
     monkeypatch.setattr(erm_mod, "cho_factor", _counting_cho_factor({"n": 0, "calls": 0}, forced=1))
     [message] = fit(1024, GaussianRBF(1024 ** (-1 / 3)), 1.0 / 1024)
     assert message.startswith("dense solve: rank-") and message.endswith(" factor failed")
@@ -414,15 +416,69 @@ def test_low_rank_ridge_residual_bound(caplog, n, d, gamma, lam, seed):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_low_rank_ridge_on_duplicated_inputs(caplog, d):
-    # 1024 draws of 40 distinct points: rank at most 40, and the duplicates'
-    # residual diagonals fall to rounding level with their pivot's
+    # n draws of 40 distinct points: rank at most 40, and the duplicates'
+    # residual diagonals fall to rounding level with their pivot's; at
+    # shift 7.1e-3, 1e-14 * shift lies below that level and the floor of the
+    # stop threshold ends the pivoting
     caplog.set_level(logging.INFO, logger="probdense.erm")
     rng = np.random.default_rng(79 + d)
-    n = 1024
-    X = rng.uniform(0, 1, (40, d))[rng.integers(0, 40, n)]
-    y = rng.normal(size=n)
-    rank = _check_low_rank_residual(caplog, X, y, GaussianRBF(n ** (-1 / 3)), 1.0 / n)
-    assert rank is not None and rank <= 40
+    for n, shift in ((1024, 1.0), (1034, 7.1e-3)):
+        X = rng.uniform(0, 1, (40, d))[rng.integers(0, 40, n)]
+        y = rng.normal(size=n)
+        rank = _check_low_rank_residual(caplog, X, y, GaussianRBF(n ** (-1 / 3)), shift / n)
+        assert rank is not None and rank <= 40
+
+
+def _pivot_factor(X, kernel, lam):
+    """The pivoted Cholesky factor the ridge solve builds: (Lt, pivots, d) or None."""
+    n = X.shape[0]
+    cap = min(n // 8, erm_mod._MAX_RANK)
+    return erm_mod._pivoted_cholesky(kernel, X, erm_mod._PIVOT_TOL * n * lam, cap)
+
+
+@pytest.mark.parametrize("n, lam", [(600, 1e-15), (1024, 1e-9)])
+def test_pivots_stay_above_the_rounding_floor(n, lam):
+    # 1e-14 * n * lam is far below rounding here: unfloored, the loop pivoted
+    # on rounding noise and the pivot block came out singular
+    X = np.random.default_rng(83).uniform(0, 1, (n, 1))
+    Lt, pivots, _ = _pivot_factor(X, GaussianRBF(0.1), lam)
+    assert np.all(np.diagonal(Lt[:, pivots]) ** 2 >= erm_mod._PIVOT_FLOOR)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(513, 1200),
+    d=st.integers(1, 2),
+    gamma=st.floats(0.05, 2.0),
+    lam=st.floats(-9.0, 0.0).map(lambda e: 10.0**e),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pivot_basis_certificate(n, d, gamma, lam, seed):
+    """|f(x) - f_hat(x)| <= P(x) sqrt(alpha' E alpha) <= bound, up to rounding.
+
+    P is the power function of the pivots, P(x)^2 = k(x, x) - ||B^-T k_P(x)||^2
+    for the pivot block B, and E = K - Lt' Lt.  The rounding term covers
+    evaluating both expansions: 16 units of roundoff of
+    sum |alpha_i| + sum |beta_p| (the Gaussian kernel is at most 1).
+    """
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0, 1, (n, d))
+    kernel = GaussianRBF(gamma)
+    f, f_hat, bound = erm_mod._ridge_solve(Dataset(X, rng.normal(size=n)), kernel, lam)
+    if f_hat is None:
+        return
+    Lt, pivots, _ = _pivot_factor(X, kernel, lam)
+    assert np.array_equal(f_hat.centers, X[pivots])
+    alpha, beta = f.coefficients, f_hat.coefficients
+    E = gram_matrix(kernel, X) - Lt.T @ Lt
+    norm_e = np.sqrt(max(float(alpha @ E @ alpha), 0.0))
+    x = rng.uniform(0, 1, (256, d))
+    newton = solve_triangular(Lt[:, pivots], pairwise(kernel, x, X[pivots]).T, trans="T")
+    power = np.sqrt(np.clip(1.0 - (newton * newton).sum(axis=0), 0.0, None))
+    rounding = 16 * np.finfo(float).eps * (np.abs(alpha).sum() + np.abs(beta).sum())
+    gap = np.abs(f(x) - f_hat(x))
+    assert np.all(gap <= power * norm_e + rounding)
+    assert gap.max() <= bound + rounding
 
 
 def test_subgradient_zero_data_stays_at_zero():
