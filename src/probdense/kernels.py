@@ -3,15 +3,11 @@
 Point-level kernels (Gaussian RBF, compactly supported Wendland C^2) are
 evaluated through one row-block path (``_blocks``) so that k(x, y) == k(y, x)
 bitwise, Gram entries agree bitwise with pairwise evaluation, and kernel
-expansions are evaluated without holding the full kernel matrix.  The row
-blocks of a call are shared out among a few threads (one per CPU, at most
-four) that live for that call only; every block and every product of a
-block is computed as in a serial loop, so all results are bitwise
-independent of the thread count.  A Wendland expansion evaluates, per row
-block, only the centres whose first coordinate lies within the support
-radius of the block's rows: the skipped columns are exactly zero, but the
-sum runs in sorted order, so it agrees with ``pairwise(k, X, C) @ a`` to
-rounding and depends on the block size.
+expansions are evaluated without holding the full kernel matrix.  A
+Wendland expansion evaluates, per row block, only the centres whose first
+coordinate lies within the support radius of the block's rows: the skipped
+columns are exactly zero, but the sum runs in sorted order, so it agrees
+with ``pairwise(k, X, C) @ a`` to rounding and depends on the block size.
 On top of them sits a measure-level Gaussian kernel: a Gaussian of the
 maximum mean discrepancy between two empirical measures.
 """
@@ -19,8 +15,6 @@ maximum mean discrepancy between two empirical measures.
 from __future__ import annotations
 
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,18 +45,6 @@ log = logging.getLogger(__name__)
 # independent of it.
 _BLOCK_ENTRIES = 1 << 18
 
-
-def _cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity on this platform
-        return os.cpu_count() or 1
-
-
-# Threads that evaluate the row blocks of one call, the calling thread
-# included: one per CPU this process may run on, but at most four, since each
-# holds its own set of block buffers.
-_WORKERS = min(_cpus(), 4)
 
 def _check_bandwidth(name: str, value) -> None:
     """Reject a bandwidth whose square is not a normal double.
@@ -187,70 +169,37 @@ def _blocks(k, X: np.ndarray, Y: np.ndarray, out=None, consume=None, columns=Non
     overwrites; ``consume(rows, cols, block)``, when given, runs on each block
     right after it is built.  ``columns(start, stop)``, when given, returns
     the slice of Y that the block of rows start:stop covers (all of Y
-    otherwise); the block then holds only those columns.
-
-    The row split depends on _BLOCK_ENTRIES and the shapes only.  With w =
-    min(_WORKERS, number of blocks) > 1, thread j of w (the calling thread
-    is thread 0) builds and consumes blocks j, j + w, ... in its own
-    buffers, so every block, and every consume call, is the same as in a
-    serial loop; consume must only write to its block's rows.  Memory is w
-    sets of block buffers, all allocated by the calling thread.  The w - 1
-    helper threads are started for the call and have exited before it
-    returns or raises the first error, so nothing outlives it.  With
-    ``columns`` the loop stays serial: a block of a Wendland window holds only
-    the in-support columns, and threading those measured slower and raised
-    the peak RSS.
+    otherwise); the block then holds only those columns.  The row split
+    depends on _BLOCK_ENTRIES and the shapes only, and memory is one set of
+    block buffers.
     """
     n, d = X.shape
     m = Y.shape[0]
     rows = min(n, max(1, _BLOCK_ENTRIES // (m * d)))
-    starts = range(0, n, rows)
-    w = 1 if columns is not None else min(_WORKERS, len(starts))
-
-    def share(j, diff, scratch, work):
-        cols = slice(0, m)
-        for start in starts[j::w]:
-            stop = min(n, start + rows)
-            size = stop - start
-            if columns is not None:
-                cols = columns(start, stop)
-            Yb = Y[cols]
-            shape = (size, Yb.shape[0])
-            entries = shape[0] * shape[1]
-            block = scratch[:entries].reshape(shape) if out is None else out[start:stop]
-            if d == 1:
-                np.subtract(X[start:stop], Yb.T, out=block)
-                np.multiply(block, block, out=block)
-            else:
-                t = diff[: entries * d].reshape(shape + (d,))
-                np.subtract(X[start:stop, None, :], Yb[None, :, :], out=t)
-                np.multiply(t, t, out=t)
-                np.sum(t, axis=-1, out=block)
-            k._transform(block, work[:entries].reshape(shape))
-            if consume is not None:
-                consume(slice(start, stop), cols, block)
-
-    # flat buffers, so that a block narrower than Y is still a contiguous
-    # prefix; allocated here, since buffers that helper threads allocate come
-    # from per-thread malloc arenas and raise the peak RSS
-    buffers = [
-        (
-            np.empty(rows * m * d) if d > 1 else None,
-            np.empty(rows * m) if out is None else None,
-            np.empty(rows * m),
-        )
-        for _ in range(w)
-    ]
-    if w == 1:
-        share(0, *buffers[0])
-        return
-    # leaving the with block waits for every helper, so no thread still
-    # writes into out once the call is over
-    with ThreadPoolExecutor(w - 1, thread_name_prefix="probdense-blocks") as pool:
-        futures = [pool.submit(share, j, *buffers[j]) for j in range(1, w)]
-        share(0, *buffers[0])
-    for future in futures:
-        future.result()
+    # flat buffers, so that a block narrower than Y is still a contiguous prefix
+    diff = np.empty(rows * m * d) if d > 1 else None
+    scratch = np.empty(rows * m) if out is None else None
+    work = np.empty(rows * m)
+    cols = slice(0, m)
+    for start in range(0, n, rows):
+        stop = min(n, start + rows)
+        if columns is not None:
+            cols = columns(start, stop)
+        Yb = Y[cols]
+        shape = (stop - start, Yb.shape[0])
+        entries = shape[0] * shape[1]
+        block = scratch[:entries].reshape(shape) if out is None else out[start:stop]
+        if d == 1:
+            np.subtract(X[start:stop], Yb.T, out=block)
+            np.multiply(block, block, out=block)
+        else:
+            t = diff[: entries * d].reshape(shape + (d,))
+            np.subtract(X[start:stop, None, :], Yb[None, :, :], out=t)
+            np.multiply(t, t, out=t)
+            np.sum(t, axis=-1, out=block)
+        k._transform(block, work[:entries].reshape(shape))
+        if consume is not None:
+            consume(slice(start, stop), cols, block)
 
 
 def _kernel_diag(k, n: int) -> np.ndarray:
@@ -276,12 +225,9 @@ def kernel_matvec(k, X, C, a) -> np.ndarray:
     """pairwise(k, X, C) @ a without forming the (len(X), len(C)) matrix.
 
     Each row block is multiplied by ``a`` as soon as it is built, so memory
-    stays bounded by a few blocks.  For a Gaussian kernel the row blocks are
-    built and multiplied on the ``_blocks`` threads, each block by the same
-    gemv call as in a serial loop, so the result is bitwise independent of
-    the thread count.  When all rows fit in one block it is bitwise equal to
-    ``pairwise(k, X, C) @ a``; otherwise it agrees up to the rounding of
-    row-split BLAS products.
+    stays bounded by a few blocks.  When all rows fit in one block it is
+    bitwise equal to ``pairwise(k, X, C) @ a``; otherwise it agrees up to
+    the rounding of row-split BLAS products.
 
     For a Wendland kernel the rows and the centres are sorted by their first
     coordinate, and each block of sorted rows is evaluated only against the
@@ -292,8 +238,7 @@ def kernel_matvec(k, X, C, a) -> np.ndarray:
     sorted order over a window that depends on the block size, so the result
     agrees with ``pairwise(k, X, C) @ a`` to rounding.  The rows are sorted
     on all coordinates and equal rows are evaluated once, so the value of
-    each row is bitwise independent of the row order.  This windowed loop
-    runs on the calling thread alone.
+    each row is bitwise independent of the row order.
     """
     X, C = _point_pair(k, X, C)
     a = np.asarray(a, dtype=float)

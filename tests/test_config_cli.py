@@ -22,7 +22,6 @@ from probdense import (
     StudyConfig,
     TabulatedPsi,
 )
-from probdense import kernels as kernels_mod
 from probdense.cli import main
 from probdense.config import (
     format_study_config,
@@ -368,23 +367,6 @@ def test_cli_study_writes_deterministic_csv(tmp_path, capsys):
     assert "seed = 123\n" in manifest
     assert "seed_source = config\n" in manifest
     assert "partial = false\n" in manifest
-
-
-def test_cli_study_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
-    # the shipped indicator study up to n = 1024: the Gram matrix is then 4
-    # row blocks, the 10240 eval points 40 and the ~10k-point sup grid 40
-    shipped = Path(__file__).resolve().parents[1] / "configs" / "study_indicator.ini"
-    text = shipped.read_text().replace("64 256 1024 4096", "64 256 1024")
-    text = text.replace("replicates = 3", "replicates = 2")
-    assert text.count("64 256 1024\n") == text.count("replicates = 2") == 1
-    cfg = write(tmp_path, text)
-    written = []
-    for workers in (1, 3):
-        monkeypatch.setattr(kernels_mod, "_WORKERS", workers)
-        out = tmp_path / f"w{workers}.csv"
-        assert run_cli("study", "--config", str(cfg), "--out", str(out)) == 0
-        written.append((out.read_bytes(), (tmp_path / f"w{workers}.csv.manifest.txt").read_bytes()))
-    assert written[0] == written[1]
 
 
 def test_cli_does_not_import_scipy_stats(tmp_path):

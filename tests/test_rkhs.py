@@ -88,7 +88,7 @@ def test_evaluation_memory_is_bounded_by_the_block(kernel):
     finally:
         tracemalloc.stop()
     assert values.shape == (20000,)
-    assert peak < 32 * 2**20
+    assert peak < 6 * 2**20  # one set of three 2**18-double block buffers
 
 
 def test_rkhs_norm_frozen_values():
