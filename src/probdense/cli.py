@@ -26,7 +26,7 @@ from .config import (
     parse_study_config,
 )
 from .denseness import run_study
-from .erm import Dataset, fit_erm, fit_kernel_ridge, fit_pairwise
+from .erm import Dataset, fit_erm, fit_kernel_ridge, fit_pairwise, fit_quantile
 from .kernels import gram_matrix, sup_kernel_norm
 from .metrics import validate_psi
 from .reporting import _write_csv, _write_manifest, emit_report, read_report_csv, summarize_report
@@ -115,6 +115,12 @@ def _cmd_fit(args) -> int:
     if job.solver == "ridge":
         fitted = fit_kernel_ridge(data, job.kernel, cfg.lam)
         detail = "direct solve"
+    elif job.solver == "dual":
+        fitted, info = fit_quantile(data, job.kernel, job.loss, cfg)
+        detail = (
+            f"objective {info.objective:.6g}, duality gap {info.duality_gap:.3g} "
+            f"after {info.n_iters} steps"
+        )
     elif job.solver == "subgradient":
         fitted, info = fit_erm(data, job.kernel, job.loss, cfg)
         detail = f"objective {info.objective:.6g} after {info.n_iters} iterations"

@@ -163,7 +163,7 @@ _FIT = {
         "tau": _Key(_real, "tau", "loss = pinball", True),
         "solver": _Key(_one_of(_SOLVERS), "solver"),
         "lambda": _Key(_real, "lam", required=True),
-        # read only by the subgradient solver, but accepted for every solver
+        # read only by the subgradient solver (squared loss), but accepted for every solver
         "max_iters": _Key(_int, "max_iters"),
         "step_size0": _Key(_real, "step_size0"),
         "tol": _Key(_real, "tol"),

@@ -31,6 +31,7 @@ from probdense import (
     eval_measure_kernel,
     fit_erm,
     fit_kernel_ridge,
+    fit_quantile,
     gram_matrix,
     injectivity_probe,
     ky_fan_metric,
@@ -166,7 +167,7 @@ def well_conditioned_problem(rng, n):
 
 
 def test_criterion_05_ridge_optimality():
-    with criterion(5, "ridge optimality"):
+    with criterion(5, "ridge and quantile optimality"):
         rng = np.random.default_rng(105)
         for _ in range(100):
             n = int(rng.integers(5, 301))
@@ -191,6 +192,16 @@ def test_criterion_05_ridge_optimality():
             cfg = FitConfig(lam, max_iters=4000, step_size0=step)
             _, info = fit_erm(data, k, SquaredLoss(), cfg)
             assert abs(info.objective - target) <= 1e-4 * target
+        # the exact quantile solve certifies its optimality by a duality gap
+        for trial in range(20):
+            n = int(rng.integers(20, 301))
+            x = rng.uniform(0, 1, n)
+            data = Dataset(x[:, None], np.sin(6.0 * x) + (0.1 + 0.4 * x) * rng.normal(size=n))
+            loss = PinballLoss(float(rng.uniform(0.05, 0.95))) if trial % 2 else AbsoluteLoss()
+            lam = 10 ** rng.uniform(-3, -1)
+            _, info = fit_quantile(data, GaussianRBF(float(rng.uniform(0.1, 0.5))), loss, FitConfig(lam))
+            assert info.converged
+            assert 0.0 <= info.duality_gap <= 1e-10
 
 
 def test_criterion_06_clipping_and_risk_bounds():

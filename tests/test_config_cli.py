@@ -266,8 +266,17 @@ def test_fit_solver_loss_mismatch(tmp_path):
         parse_fit_config(p)
 
 
+@pytest.mark.parametrize("loss", ["pinball\ntau = 0.9", "absolute"])
+def test_fit_subgradient_solver_rejected_for_quantile_losses(tmp_path, loss):
+    # the exact dual solve replaced the subgradient method for these losses
+    p = write(tmp_path, FIT_BASE.format(data="d.csv", loss=loss, extra="solver = subgradient\n"))
+    name = loss.split()[0]
+    with pytest.raises(ConfigError, match=f"solver 'subgradient' does not apply to loss '{name}'"):
+        parse_fit_config(p)
+
+
 def test_fit_default_solvers(tmp_path):
-    for loss, solver in [("squared", "ridge"), ("absolute", "subgradient"), ("ranking_squared", "pairwise")]:
+    for loss, solver in [("squared", "ridge"), ("absolute", "dual"), ("ranking_squared", "pairwise")]:
         p = write(tmp_path, FIT_BASE.format(data="d.csv", loss=loss, extra=""), f"{loss}.ini")
         assert parse_fit_config(p).solver == solver
 
@@ -418,7 +427,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     data.write_text("0.0,1.0\n0.5,0.2\n1.0,2.0\n")
     diverge = write(
         tmp_path,
-        FIT_BASE.format(data=data, loss="absolute", extra="step_size0 = 1e200\nmax_iters = 50\n"),
+        FIT_BASE.format(
+            data=data, loss="squared", extra="solver = subgradient\nstep_size0 = 1e200\nmax_iters = 50\n"
+        ),
         "div.ini",
     )
     assert run_cli("fit", "--config", str(diverge), "--out", str(tmp_path / "f.csv")) == 2
@@ -516,6 +527,21 @@ def test_cli_fit_ridge_end_to_end(tmp_path, capsys):
     manifest = (tmp_path / "fit.csv.manifest.txt").read_text()
     assert "solver = ridge\n" in manifest
     assert "seed = none\nseed_source = config\n" in manifest
+
+
+def test_cli_fit_quantile_reports_the_dual_solve(tmp_path, capsys, monkeypatch):
+    # the shipped example; its data path is relative to the repository root
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    out = tmp_path / "quantile.csv"
+    assert run_cli("fit", "--config", "configs/fit_quantile.ini", "--out", str(out)) == 0
+    printed = capsys.readouterr().out
+    assert re.search(r"\(dual: objective \S+, duality gap \S+ after \d+ steps\)", printed)
+    gap = float(re.search(r"duality gap (\S+) after", printed).group(1))
+    assert 0.0 <= gap <= 1e-10
+    assert "solver = dual\n" in (tmp_path / "quantile.csv.manifest.txt").read_text()
+    rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    data = np.loadtxt("configs/quantile_data.csv", delimiter=",", ndmin=2)
+    assert np.array_equal(rows[:, 0], data[:, 0])
 
 
 def test_cli_fit_pairwise_reports_direct_solve(tmp_path, capsys):

@@ -25,6 +25,7 @@ from probdense import (
     fit_erm,
     fit_kernel_ridge,
     fit_pairwise,
+    fit_quantile,
     gram_matrix,
     WendlandC2,
 )
@@ -445,6 +446,18 @@ def test_pivots_stay_above_the_rounding_floor(n, lam):
     assert np.all(np.diagonal(Lt[:, pivots]) ** 2 >= erm_mod._PIVOT_FLOOR)
 
 
+def test_pivot_block_diagonal_stays_above_the_stop_threshold():
+    # at rank ~400 the accumulated residual diagonal the loop picks on drifts
+    # from the fresh residual by ~sqrt(r) units of roundoff; dividing by the
+    # accumulated one left min B_jj^2 at 0.53 x the floor here
+    n, lam = 4096, 1e-12
+    X = np.random.default_rng(0).uniform(0, 1, (n, 2))
+    Lt, pivots, _ = _pivot_factor(X, GaussianRBF(0.25), lam)
+    threshold = max(erm_mod._PIVOT_TOL * n * lam, erm_mod._PIVOT_FLOOR)
+    assert Lt.shape[0] > 300
+    assert np.all(np.diagonal(Lt[:, pivots]) ** 2 > threshold)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(513, 1200),
@@ -572,6 +585,129 @@ def test_subgradient_reuses_fvals_bitwise(loss):
     alpha, expected = _four_matvec_subgradient(data, GaussianRBF(0.2), loss, cfg)
     assert np.array_equal(f.coefficients, alpha)
     assert info == expected
+
+
+def _quantile_tolerance(y, lam):
+    """fit_quantile's KKT tolerance for a kernel with max k(x, x) = 1."""
+    return 1e-12 * max(1.0, float(np.abs(y).max())) + 16.0 * np.finfo(float).eps / (2.0 * lam)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    distinct=st.integers(1, 60),
+    d=st.integers(1, 2),
+    tied=st.booleans(),
+    tau=st.floats(0.01, 0.99),
+    lam=st.floats(-6.0, 2.0).map(lambda e: 10.0**e),
+    gamma=st.floats(-1.5, 0.5).map(lambda e: 10.0**e),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_quantile_is_the_exact_minimiser(n, distinct, d, tied, tau, lam, gamma, seed):
+    rng = np.random.default_rng(seed)
+    m = min(distinct, n)  # m < n duplicates inputs, and makes free faces singular
+    X = rng.uniform(0, 1, (m, d))[rng.integers(0, m, n)]
+    y = rng.choice([-1.5, 0.25, 2.0], n) if tied else rng.uniform(-3.0, 3.0, n)
+    data, kernel, loss = Dataset(X, y), GaussianRBF(gamma), PinballLoss(tau)
+    f, info = fit_quantile(data, kernel, loss, FitConfig(lam))
+    tol = _quantile_tolerance(y, lam)
+    assert info.converged and info.grad_norm <= np.sqrt(n) * tol
+    # KKT: u = 2 lam n alpha in [tau - 1, tau], u = tau where r > 0, tau - 1 where r < 0
+    K = gram_matrix(kernel, X)
+    u = 2.0 * lam * n * f.coefficients
+    r = y - K @ f.coefficients
+    slack = 4 * np.finfo(float).eps
+    assert np.all((u >= tau - 1.0 - slack) & (u <= tau + slack))
+    assert np.all(np.abs(u[r > tol] - tau) <= slack)
+    assert np.all(np.abs(u[r < -tol] - (tau - 1.0)) <= slack)
+    # every duality-gap term is at most a KKT violation
+    assert 0.0 <= info.duality_gap * info.objective <= tol
+    if lam >= 1e-3:  # f = K alpha is known to far better than 1e-10 of the objective
+        assert info.duality_gap <= 1e-10
+        dual = float(u @ y - 0.5 * u @ (K @ f.coefficients)) / n
+        rounding = 8 * np.finfo(float).eps * (np.abs(y).max() + np.abs(K @ f.coefficients).max())
+        assert info.objective - dual <= 1e-10 * info.objective + rounding
+    step = min(0.5, 0.5 / (lam * n))
+    _, subgradient = fit_erm(data, kernel, loss, FitConfig(lam, max_iters=100, step_size0=step))
+    for other in (info.objective_at_zero, subgradient.objective):
+        assert info.objective <= other * (1.0 + 1e-12) + tol
+    # the absolute loss is 2 * pinball(0.5) at half the penalty
+    fa, ia = fit_quantile(data, kernel, AbsoluteLoss(), FitConfig(lam))
+    fp, ip = fit_quantile(data, kernel, PinballLoss(0.5), FitConfig(lam / 2.0))
+    np.testing.assert_allclose(fa.coefficients, fp.coefficients, rtol=1e-12, atol=0.0)
+    assert ia.objective == pytest.approx(2.0 * ip.objective, rel=1e-12)
+
+
+def test_fit_quantile_on_one_repeated_input_is_the_penalised_median():
+    # K = 11' is singular: f is the constant c = sum alpha, and
+    # mean |y - c| / 2 + lam c^2 is minimised at the median 2, a kink
+    data = Dataset(np.full((5, 1), 0.3), np.arange(5.0))
+    f, info = fit_quantile(data, GaussianRBF(0.5), PinballLoss(0.5), FitConfig(1e-3))
+    assert info.converged
+    assert f(np.array([[0.3]]))[0] == pytest.approx(2.0, abs=1e-12)
+    assert info.objective == pytest.approx(0.6 + 1e-3 * 4.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [2, 10, 28, 35])
+def test_fit_quantile_on_a_numerically_singular_gram_matrix(seed):
+    # a bandwidth 10x the domain leaves K with a numerical rank near 10; in
+    # these draws a freed point's Schur complement falls to rounding and it
+    # moves along the null direction of the free face instead of joining it
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0, 1, 40)
+    y = rng.uniform(-3.0, 3.0, 40)
+    lam, tau = 1e-11, 0.7
+    f, info = fit_quantile(Dataset(x[:, None], y), GaussianRBF(10.0), PinballLoss(tau), FitConfig(lam))
+    tol = _quantile_tolerance(y, lam)
+    assert info.converged and np.all(np.isfinite(f.coefficients))
+    u = 2.0 * lam * 40 * f.coefficients
+    r = y - gram_matrix(GaussianRBF(10.0), x[:, None]) @ f.coefficients
+    slack = 4 * np.finfo(float).eps
+    assert np.all((u >= tau - 1.0 - slack) & (u <= tau + slack))
+    assert np.all(np.abs(u[r > tol] - tau) <= slack)
+    assert np.all(np.abs(u[r < -tol] - (tau - 1.0)) <= slack)
+    assert info.objective <= info.objective_at_zero
+
+
+def test_fit_quantile_zero_outputs_give_zero_function():
+    data = Dataset(np.random.default_rng(71).uniform(0, 1, (12, 1)), np.zeros(12))
+    f, info = fit_quantile(data, GaussianRBF(0.3), PinballLoss(0.3), FitConfig(0.1))
+    assert info.converged and info.objective_at_zero == 0.0
+    assert np.abs(f(data.inputs)).max() <= 1e-12
+    assert info.objective <= 1e-12
+
+
+@pytest.mark.parametrize("m", [0, 3, 6])
+def test_cholesky_delete_is_the_factor_of_the_smaller_matrix(m):
+    rng = np.random.default_rng(79)
+    B = rng.normal(size=(7, 7))
+    A = B @ B.T + 0.1 * np.eye(7)
+    L = erm_mod._cholesky_delete(np.linalg.cholesky(A), m)
+    keep = np.delete(np.arange(7), m)
+    np.testing.assert_allclose(L, np.linalg.cholesky(A[np.ix_(keep, keep)]), rtol=0, atol=1e-12)
+
+
+def test_fit_quantile_rejects_other_losses():
+    data = Dataset(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
+    for loss in (SquaredLoss(), RankingSquaredLoss()):
+        with pytest.raises(TypeError):
+            fit_quantile(data, GaussianRBF(), loss, FitConfig(0.1))
+
+
+def test_fit_quantile_holds_one_n_by_n_array():
+    rng = np.random.default_rng(73)
+    n = 2048
+    x = rng.uniform(0, 1, n)
+    data = Dataset(x[:, None], np.sin(6.0 * x) + 0.3 * rng.normal(size=n))
+    tracemalloc.start()
+    try:
+        _, info = fit_quantile(data, GaussianRBF(0.2), PinballLoss(0.9), FitConfig(1e-3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.converged
+    # K alone is 32 MiB, its block buffers 6 MiB; a copy of K would add 32 MiB
+    assert peak < 40 * 2**20
 
 
 def test_pairwise_equal_outputs_stay_at_zero():
