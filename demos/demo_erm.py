@@ -1,5 +1,6 @@
-"""Supervised fitting: ridge vs subgradient descent, and exact quantile
-fits with the pinball loss on heteroscedastic data.
+"""Supervised fitting, one exact solver per loss: a kernel ridge fit (the
+conditional mean) against exact quantile fits with the pinball loss, on
+heteroscedastic data.
 
 Run:  python3 demos/demo_erm.py
 """
@@ -8,12 +9,10 @@ import numpy as np
 
 from probdense import (
     Dataset,
-    FitConfig,
     GaussianRBF,
     PinballLoss,
     SquaredLoss,
     empirical_risk,
-    fit_erm,
     fit_kernel_ridge,
     fit_quantile,
 )
@@ -32,27 +31,23 @@ def main():
     kernel = GaussianRBF(0.2)
     lam = 0.005
 
-    ridge = fit_kernel_ridge(data, kernel, lam)
-    cfg = FitConfig(lam, max_iters=3000, step_size0=0.05)
-    sub, info = fit_erm(data, kernel, SquaredLoss(), cfg)
-    print("squared loss, two solvers:")
-    print(f"  ridge (direct solve)  risk = {empirical_risk(ridge, data, SquaredLoss()):.6f}")
-    print(f"  subgradient descent   risk = {empirical_risk(sub, data, SquaredLoss()):.6f}")
-    print(f"  descent objective {info.objective:.6f} after {info.n_iters} iterations")
-
-    med, med_info = fit_quantile(data, kernel, PinballLoss(0.5), FitConfig(lam))
-    hi, hi_info = fit_quantile(data, kernel, PinballLoss(0.9), FitConfig(lam))
-    grid = np.linspace(0.0, 1.0, 9)[:, None]
-    print("\nquantile fits (pinball loss, exact dual solve):")
-    for name, info in (("median", med_info), ("q90", hi_info)):
+    mean = fit_kernel_ridge(data, kernel, lam)
+    print(f"ridge (squared loss, direct solve): risk = {empirical_risk(mean, data, SquaredLoss()):.6f}")
+    quantiles = {"q10": 0.1, "median": 0.5, "q90": 0.9}
+    fits = {name: fit_quantile(data, kernel, PinballLoss(tau), lam) for name, tau in quantiles.items()}
+    print("quantile fits (pinball loss, exact dual solve):")
+    for name, (_, info) in fits.items():
         print(f"  {name:>6}: {info.n_iters} steps, duality gap {info.duality_gap:.1e}")
-    print(f"  {'x':>5}  {'median':>8}  {'q90':>8}")
-    for xv, mv, hv in zip(grid[:, 0], med(grid), hi(grid)):
-        print(f"  {xv:5.2f}  {mv:8.4f}  {hv:8.4f}")
-    above_med = float(np.mean(data.outputs > med(data.inputs)))
-    above_hi = float(np.mean(data.outputs > hi(data.inputs)))
-    print(f"  fraction of points above the median fit: {above_med:.2f} (want about 0.50)")
-    print(f"  fraction above the 0.9-quantile fit:     {above_hi:.2f} (want about 0.10)")
+
+    grid = np.linspace(0.0, 1.0, 9)[:, None]
+    print(f"\n  {'x':>5}  {'mean':>8}" + "".join(f"  {name:>8}" for name in fits))
+    columns = [mean(grid)] + [f(grid) for f, _ in fits.values()]
+    for xv, *values in zip(grid[:, 0], *columns):
+        print(f"  {xv:5.2f}" + "".join(f"  {v:8.4f}" for v in values))
+    print("\nfraction of points above each fit:")
+    for name, f in [("mean", mean)] + [(name, f) for name, (f, _) in fits.items()]:
+        print(f"  {name:>6}: {float(np.mean(data.outputs > f(data.inputs))):.2f}")
+    print("  (want about 0.90, 0.50 and 0.10 above q10, median and q90)")
 
 
 if __name__ == "__main__":

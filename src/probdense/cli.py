@@ -26,7 +26,7 @@ from .config import (
     parse_study_config,
 )
 from .denseness import run_study
-from .erm import Dataset, fit_erm, fit_kernel_ridge, fit_pairwise, fit_quantile
+from .erm import Dataset, fit_kernel_ridge, fit_pairwise, fit_quantile
 from .kernels import gram_matrix, sup_kernel_norm
 from .metrics import validate_psi
 from .reporting import _write_csv, _write_manifest, emit_report, read_report_csv, summarize_report
@@ -110,25 +110,20 @@ def _load_dataset(path) -> Dataset:
 
 def _cmd_fit(args) -> int:
     job = parse_fit_config(args.config)
-    cfg = job.fit_config
     data = _load_dataset(job.data_path)
     if job.solver == "ridge":
-        fitted = fit_kernel_ridge(data, job.kernel, cfg.lam)
+        fitted = fit_kernel_ridge(data, job.kernel, job.lam)
         detail = "direct solve"
     elif job.solver == "dual":
-        fitted, info = fit_quantile(data, job.kernel, job.loss, cfg)
+        fitted, info = fit_quantile(data, job.kernel, job.loss, job.lam)
         detail = (
             f"objective {info.objective:.6g}, duality gap {info.duality_gap:.3g} "
             f"after {info.n_iters} steps"
         )
-    elif job.solver == "subgradient":
-        fitted, info = fit_erm(data, job.kernel, job.loss, cfg)
-        detail = f"objective {info.objective:.6g} after {info.n_iters} iterations"
     else:
-        try:
-            fitted, info = fit_pairwise(data, job.kernel, job.loss, cfg)
-        except ValueError as exc:  # too few rows to form a pair
-            raise ConfigError(f"dataset {job.data_path}: {exc}") from None
+        if data.n < 2:
+            raise ConfigError(f"dataset {job.data_path}: pairwise fitting needs at least 2 observations")
+        fitted, info = fit_pairwise(data, job.kernel, job.loss, job.lam)
         detail = f"direct solve, objective {info.objective:.6g}"
     _write_csv(
         args.out,

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .denseness import _SAMPLERS, _TARGETS, StudyConfig
-from .erm import _LOSSES, FitConfig
+from .erm import _LOSSES, _check_lam
 from .kernels import _KERNEL_FAMILIES
 from .metrics import _PSI_KINDS, _psi_grid
 from .util import ConfigError, _fmt
@@ -155,18 +155,17 @@ _POINT_KERNEL = {
 }
 _KERNEL_OBJECT = {"family": (_KERNEL_FAMILIES, "{} kernel")}
 
-_SOLVERS = tuple(dict.fromkeys(s for _, _, solvers in _LOSSES.values() for s in solvers))
 _FIT = {
     "fit": {
         "data": _Key(str, "data_path", required=True),
         "loss": _Key(_one_of(_LOSSES), "loss", required=True),
         "tau": _Key(_real, "tau", "loss = pinball", True),
-        "solver": _Key(_one_of(_SOLVERS), "solver"),
         "lambda": _Key(_real, "lam", required=True),
-        # read only by the subgradient solver (squared loss), but accepted for every solver
+        # accepted and ignored: no solver iterates, and no class has these
+        # fields, but the benchmark's fit configs still write them (ROADMAP
+        # item 4 step 2 drops them there, and then these two rows)
         "max_iters": _Key(_int, "max_iters"),
         "step_size0": _Key(_real, "step_size0"),
-        "tol": _Key(_real, "tol"),
     },
     "kernel": _POINT_KERNEL,
 }
@@ -294,13 +293,16 @@ def format_study_config(cfg: StudyConfig) -> str:
 
 @dataclass(frozen=True, eq=False)
 class FitJob:
-    """One supervised fit: data location, loss, solver choice, kernel, knobs."""
+    """One supervised fit: data location, loss, the loss's solver, kernel, penalty lam."""
 
     data_path: str
     loss: object
     solver: str
     kernel: object
-    fit_config: FitConfig
+    lam: float
+
+    def __post_init__(self):
+        _check_lam(self.lam)
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,13 +329,9 @@ def parse_fit_config(path) -> FitJob:
     """Parse a [fit]/[kernel] config file into a FitJob."""
     found = _read(path, _FIT, _KERNEL_OBJECT)
     name, line, _ = found["loss"]
-    cls, default_solver, solvers = _LOSSES[name]
-    solver, at, _ = found.get("solver", (default_solver, None, None))
-    if solver not in solvers:
-        raise ConfigError(f"{path}:{at}: solver {solver!r} does not apply to loss {name!r}")
+    cls, solver = _LOSSES[name]
     loss = _build(path, cls, found, line, f"{name} loss")
-    fit_config = _build(path, FitConfig, found)
-    return _build(path, FitJob, found, loss=loss, solver=solver, fit_config=fit_config)
+    return _build(path, FitJob, found, loss=loss, solver=solver)
 
 
 def parse_kernel_eval_config(path) -> KernelEvalJob:

@@ -3,17 +3,16 @@
 Solvers return representer expansions over the training inputs: a direct
 kernel ridge solve, an exact active-set solve of the dual box QP for the
 pinball and absolute losses (Takeuchi, Le, Sears & Smola, JMLR 7, 2006;
-Moré & Toraldo, SIAM J. Optim. 1, 1991), a subgradient method for the
-squared loss, and a direct solve for the pairwise ranking objective, an
-exact quadratic.  Clipping and the empirical risk functional round out the
-toolkit.
+Moré & Toraldo, SIAM J. Optim. 1, 1991), and a direct solve for the
+pairwise ranking objective, an exact quadratic: one exact solver per loss.
+Clipping and the empirical risk functional round out the toolkit.
 
-A ridge fit whose Gram matrix exceeds one evaluation block is solved
-through a greedy pivoted Cholesky factor K ~ L L' (Harbrecht, Peters &
-Schneider, Appl. Numer. Math. 62, 2012) and the Woodbury identity (Fine &
-Scheinberg, JMLR 2, 2001), so it never forms the n x n Gram matrix; when
-the numerical rank is not small, and for compactly supported kernels, it
-falls back to the dense solve.  A low-rank fit also yields its projection
+A ridge fit with more than 512 points is solved through a greedy pivoted
+Cholesky factor K ~ L L' (Harbrecht, Peters & Schneider, Appl. Numer.
+Math. 62, 2012) and the Woodbury identity (Fine & Scheinberg, JMLR 2,
+2001), so it never forms the n x n Gram matrix; when the numerical rank
+is not small, and for compactly supported kernels, it falls back to the
+dense solve.  A low-rank fit also yields its projection
 onto the r pivot sections k(., x_p), an expansion over r centres with a
 certified sup-norm distance to the full one; greedy pivoting is the
 P-greedy point selection of De Marchi, Schaback & Wendland (Adv. Comput.
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from .kernels import _BLOCK_ENTRIES, WendlandC2, _kernel_diag, gram_matrix, pairwise
+from .kernels import WendlandC2, _kernel_diag, gram_matrix, pairwise
 from .rkhs import RkhsFunction
 from .util import NumericalError, as_points
 
@@ -38,11 +37,9 @@ __all__ = [
     "AbsoluteLoss",
     "PinballLoss",
     "RankingSquaredLoss",
-    "FitConfig",
     "FitInfo",
     "fit_kernel_ridge",
     "fit_quantile",
-    "fit_erm",
     "fit_pairwise",
     "clip",
     "ClippedFunction",
@@ -50,6 +47,11 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+# Ridge solves with at most _DENSE_MAX points factor the dense system, which
+# is cheap at that size; the cutoff does not follow kernels._BLOCK_ENTRIES,
+# so a change of the evaluation block size moves no fit to another path.
+_DENSE_MAX = 512
 
 # Low-rank ridge solves: the pivoted Cholesky stops once the residual at its
 # next pivot is at most max(_PIVOT_TOL * n * lam, _PIVOT_FLOOR * max k(x, x)),
@@ -102,9 +104,6 @@ class SquaredLoss:
         r = y - t
         return r * r
 
-    def subgradient(self, y, t):
-        return 2.0 * (t - y)
-
 
 @dataclass(frozen=True)
 class AbsoluteLoss:
@@ -117,17 +116,12 @@ class AbsoluteLoss:
     def values(self, y, t):
         return np.abs(y - t)
 
-    def subgradient(self, y, t):
-        # subgradient choice 0 at residual 0
-        return -np.sign(y - t)
-
 
 @dataclass(frozen=True)
 class PinballLoss:
     """Quantile loss: tau * r for residual r = y - t >= 0, (tau - 1) * r below.
 
-    At residual exactly 0 the subgradient uses the (tau - 1) branch, a
-    deterministic tie-break.  PinballLoss(0.5) equals AbsoluteLoss / 2.
+    PinballLoss(0.5) equals AbsoluteLoss / 2.
     """
 
     tau: float
@@ -144,10 +138,6 @@ class PinballLoss:
         r = np.asarray(y - t, dtype=float)
         return np.where(r >= 0.0, self.tau * r, (self.tau - 1.0) * r)
 
-    def subgradient(self, y, t):
-        r = np.asarray(y - t, dtype=float)
-        return np.where(r > 0.0, -self.tau, 1.0 - self.tau)
-
 
 @dataclass(frozen=True)
 class RankingSquaredLoss:
@@ -158,46 +148,36 @@ class RankingSquaredLoss:
         return r * r
 
 
-# loss name -> (class, default solver, solvers that minimise it)
+# loss name -> (class, the one solver that minimises it)
 _LOSSES = {
-    "squared": (SquaredLoss, "ridge", ("ridge", "subgradient")),
-    "absolute": (AbsoluteLoss, "dual", ("dual",)),
-    "pinball": (PinballLoss, "dual", ("dual",)),
-    "ranking_squared": (RankingSquaredLoss, "pairwise", ("pairwise",)),
+    "squared": (SquaredLoss, "ridge"),
+    "absolute": (AbsoluteLoss, "dual"),
+    "pinball": (PinballLoss, "dual"),
+    "ranking_squared": (RankingSquaredLoss, "pairwise"),
 }
 
 
-@dataclass(frozen=True)
-class FitConfig:
-    """Solver knobs: lam for every solver; max_iters, step_size0 and tol for fit_erm only.
+def _check_lam(lam: float) -> None:
+    """Raise ValueError unless the penalty lam is positive and finite."""
+    if not (np.isfinite(lam) and lam > 0.0):
+        raise ValueError(f"lam must be positive, got {lam!r}")
 
-    fit_kernel_ridge, fit_quantile and fit_pairwise are direct or exact
-    solves and read lam alone.
-    """
 
-    lam: float
-    max_iters: int = 1000
-    step_size0: float = 1.0
-    tol: float = 1e-8
-
-    def __post_init__(self):
-        if not (np.isfinite(self.lam) and self.lam > 0.0):
-            raise ValueError(f"lam must be positive, got {self.lam!r}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (np.isfinite(self.step_size0) and self.step_size0 > 0.0):
-            raise ValueError(f"step_size0 must be positive, got {self.step_size0!r}")
-        if not (np.isfinite(self.tol) and self.tol >= 0.0):
-            raise ValueError(f"tol must be >= 0, got {self.tol!r}")
+def _expansion(kernel, X: np.ndarray, coefficients: np.ndarray, lam: float) -> RkhsFunction:
+    """The solved expansion, or NumericalError when the solve overflowed to inf or nan."""
+    if not np.all(np.isfinite(coefficients)):
+        raise NumericalError(f"solve gave non-finite coefficients (n={X.shape[0]}, lam={lam!r})")
+    return RkhsFunction(kernel, X, coefficients)
 
 
 @dataclass(frozen=True)
 class FitInfo:
-    """Fit diagnostics: objective, objective of alpha = 0, iterations, gradient norm, exit state.
+    """Fit diagnostics: objective, objective of alpha = 0, steps, optimality residual, exit state.
 
-    duality_gap is the relative gap (P - D) / P between the primal objective
-    and the dual of the returned fit, for the solvers that solve a dual
-    (fit_quantile), and None elsewhere.
+    fit_quantile reports its active-set steps, the 2-norm of its KKT
+    violations and the relative gap (P - D) / P between the primal objective
+    and the dual of the returned fit as duality_gap; fit_pairwise, a direct
+    solve, reports 0 steps, its gradient norm and duality_gap None.
     """
 
     objective: float
@@ -315,12 +295,11 @@ def _ridge_solve(data: Dataset, kernel, lam: float):
     the pivots and E = K - Lt' Lt, up to rounding.  On the dense path f_hat
     and bound are None.
     """
-    if not (np.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"lam must be positive, got {lam!r}")
+    _check_lam(lam)
     n = data.n
     shift = n * lam
-    if n * n <= _BLOCK_ENTRIES:
-        log.info("dense solve: %d points fit one block", n)
+    if n <= _DENSE_MAX:
+        log.info("dense solve: %d points, at most %d", n, _DENSE_MAX)
     elif isinstance(kernel, WendlandC2):
         # a compactly supported kernel's Gram matrix is not low-rank
         log.info("dense solve: compactly supported kernel")
@@ -334,23 +313,23 @@ def _ridge_solve(data: Dataset, kernel, lam: float):
             alpha = _woodbury_solve(Lt, shift, data.outputs)
             if alpha is not None:
                 log.info("low-rank solve: rank %d of %d", Lt.shape[0], n)
+                X = data.inputs
+                f = _expansion(kernel, X, alpha, lam)
                 beta = solve_triangular(Lt[:, pivots], Lt @ alpha, lower=False, check_finite=False)
                 kmax = float(_kernel_diag(kernel, 1)[0])
                 bound = float(np.sqrt(kmax * d.clip(min=0.0).sum()) * np.linalg.norm(alpha))
-                X = data.inputs
-                return RkhsFunction(kernel, X, alpha), RkhsFunction(kernel, X[pivots], beta), bound
+                return f, _expansion(kernel, X[pivots], beta, lam), bound
             log.info("dense solve: rank-%d factor failed", Lt.shape[0])
             del factor, Lt
     A = gram_matrix(kernel, data.inputs)
     alpha = _jittered_cholesky_solve(A, shift, data.outputs, lam)
-    return RkhsFunction(kernel, data.inputs, alpha), None, None
+    return _expansion(kernel, data.inputs, alpha, lam), None, None
 
 
 def fit_kernel_ridge(data: Dataset, kernel, lam: float) -> RkhsFunction:
     """Solve (K + n * lam * I) alpha = y and return the representer expansion.
 
-    With s = n * lam: when the Gram matrix exceeds one evaluation block
-    (n * n > _BLOCK_ENTRIES, so n > 512) and the kernel is not compactly
+    With s = n * lam: when n > 512 and the kernel is not compactly
     supported, K is replaced by a greedy pivoted Cholesky factor L L'
     stopped at residual diagonal <= max(1e-14 * s, 8 * eps * max k(x, x)),
     and (L L' + s I) alpha = y is solved by Woodbury with one r x r
@@ -365,56 +344,10 @@ def fit_kernel_ridge(data: Dataset, kernel, lam: float) -> RkhsFunction:
     the diagonal and retry with 10x the jitter, at most three times, then
     raise NumericalError).  One INFO record from probdense.erm names the
     path taken.  The expansion holds all n training inputs as centres
-    either way.
+    either way; non-finite coefficients, from outputs so large that the
+    solve overflows, raise NumericalError.
     """
     return _ridge_solve(data, kernel, lam)[0]
-
-
-def fit_erm(data: Dataset, kernel, loss, cfg: FitConfig) -> tuple[RkhsFunction, FitInfo]:
-    """Subgradient descent for (1/n) sum L(y_i, f(x_i)) + lam * ||f||_H^2.
-
-    Steps follow step_size0 / sqrt(t); the best iterate by objective is
-    returned with its FitInfo, starting the comparison at alpha = 0, so the
-    result never exceeds the objective of the zero function.  Two n x n
-    matvecs per iteration: fvals = K @ alpha serves the gradient's penalty
-    term and the objective's penalty alpha @ fvals.
-    """
-    K = gram_matrix(kernel, data.inputs)
-    y = data.outputs
-    n = data.n
-    alpha = np.zeros(n)
-    fvals = np.zeros(n)
-
-    def objective(a, fv):
-        # overflow here is handled by the explicit finiteness check below
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(np.mean(loss.values(y, fv)) + cfg.lam * (a @ fv))
-
-    best_alpha = alpha
-    best_obj = obj_zero = objective(alpha, fvals)
-    grad_norm = np.inf
-    iters_run = 0
-    for t in range(1, cfg.max_iters + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            grad = (K @ loss.subgradient(y, fvals)) / n + (2.0 * cfg.lam) * fvals
-            grad_norm = float(np.linalg.norm(grad))
-            if grad_norm <= cfg.tol:
-                break
-            step = cfg.step_size0 / np.sqrt(t)
-            alpha = alpha - step * grad
-            fvals = K @ alpha
-        obj = objective(alpha, fvals)
-        if not np.isfinite(obj):
-            raise NumericalError(
-                f"objective became non-finite at iteration {t} (step {float(step):g}); "
-                "reduce step_size0"
-            )
-        if obj < best_obj:
-            best_obj = obj
-            best_alpha = alpha
-        iters_run = t
-    info = FitInfo(best_obj, obj_zero, iters_run, grad_norm, grad_norm <= cfg.tol)
-    return RkhsFunction(kernel, data.inputs, best_alpha), info
 
 
 def _cholesky_delete(L: np.ndarray, m: int) -> np.ndarray:
@@ -517,7 +450,7 @@ def _dual_active_set(K: np.ndarray, y: np.ndarray, tau: float, scale: float, tol
     return u, steps
 
 
-def fit_quantile(data: Dataset, kernel, loss, cfg: FitConfig) -> tuple[RkhsFunction, FitInfo]:
+def fit_quantile(data: Dataset, kernel, loss, lam: float) -> tuple[RkhsFunction, FitInfo]:
     """Exact minimiser of (1/n) sum L(y_i, f(x_i)) + lam * ||f||_H^2 for the pinball or absolute loss.
 
     The dual of the pinball problem at quantile tau minimises
@@ -527,39 +460,42 @@ def fit_quantile(data: Dataset, kernel, loss, cfg: FitConfig) -> tuple[RkhsFunct
     r = y - K alpha is at most 1e-12 * max(1, max |y|) plus 16 units of
     roundoff of max k(x, x) / (2 lam), which bounds the rounding of
     f = K alpha since sum |alpha_i| <= n / (2 lam n) (it binds only for
-    small lam), and gives up after 10 n + 100 steps with a WARNING.  FitInfo reports the step count as n_iters, the 2-norm
-    of the KKT violations as grad_norm, converged = violations within the
-    tolerance, and the relative duality gap
+    small lam), and gives up after 10 n + 100 steps with a WARNING.
+    FitInfo reports the step count as n_iters, the 2-norm of the KKT
+    violations as grad_norm, converged = violations within the tolerance,
+    and the relative duality gap
     (1/n) sum (L(r_i) - u_i r_i) / objective, each term nonnegative, so
     it carries no cancellation.  K is the only n x n array; the result is
     deterministic.  One INFO record from probdense.erm gives the step
     count, the free points and the gap.
     """
+    _check_lam(lam)
     if isinstance(loss, AbsoluteLoss):
-        tau, lam, weight = 0.5, 0.5 * cfg.lam, 2.0
+        tau, pinball_lam, weight = 0.5, 0.5 * lam, 2.0
     elif isinstance(loss, PinballLoss):
-        tau, lam, weight = loss.tau, cfg.lam, 1.0
+        tau, pinball_lam, weight = loss.tau, lam, 1.0
     else:
         raise TypeError("fit_quantile requires PinballLoss or AbsoluteLoss")
     K = gram_matrix(kernel, data.inputs)
     y, n = data.outputs, data.n
-    scale = 2.0 * lam * n
-    rounding = 16.0 * np.finfo(float).eps * float(K.diagonal().max()) / (2.0 * lam)
+    scale = 2.0 * pinball_lam * n
+    rounding = 16.0 * np.finfo(float).eps * float(K.diagonal().max()) / (2.0 * pinball_lam)
     tol = _KKT_TOL * max(1.0, float(np.abs(y).max())) + rounding
     u, steps = _dual_active_set(K, y, tau, scale, tol)
     alpha = u / scale
+    f = _expansion(kernel, data.inputs, alpha, lam)
     fvals = K @ alpha
     r = y - fvals
     lo, hi = tau - 1.0, tau
     kkt = np.where(u == hi, -r, np.where(u == lo, r, np.abs(r))).clip(min=0.0)
-    objective = float(np.mean(loss.values(y, fvals)) + cfg.lam * (alpha @ fvals))
+    objective = float(np.mean(loss.values(y, fvals)) + lam * (alpha @ fvals))
     gap = weight * float(np.mean(np.where(r >= 0.0, (tau - u) * r, (tau - 1.0 - u) * r)))
     gap = gap / objective if objective > 0.0 else 0.0
     converged = bool(kkt.max() <= tol)
     if not converged:
         log.warning(
             "dual active-set solve stopped after %d steps with KKT violation %r > %r (n=%d, lam=%r)",
-            steps, float(kkt.max()), tol, n, cfg.lam,
+            steps, float(kkt.max()), tol, n, lam,
         )
     log.info(
         "dual active-set solve: %d steps, %d free points, duality gap %.3g",
@@ -568,7 +504,7 @@ def fit_quantile(data: Dataset, kernel, loss, cfg: FitConfig) -> tuple[RkhsFunct
     info = FitInfo(
         objective, float(np.mean(loss.values(y, 0.0))), steps, float(np.linalg.norm(kkt)), converged, gap
     )
-    return RkhsFunction(kernel, data.inputs, alpha), info
+    return f, info
 
 
 def _centre(v: np.ndarray) -> np.ndarray:
@@ -579,7 +515,7 @@ def _centre(v: np.ndarray) -> np.ndarray:
 
 
 def fit_pairwise(
-    data: Dataset, kernel, loss: RankingSquaredLoss, cfg: FitConfig
+    data: Dataset, kernel, loss: RankingSquaredLoss, lam: float
 ) -> tuple[RkhsFunction, FitInfo]:
     """Exact minimiser of the mean pairwise ranking objective, with its FitInfo.
 
@@ -589,16 +525,15 @@ def fit_pairwise(
     system is positive definite and is solved on the ridge solver's jittered
     Cholesky path; its solution sums to zero, so it also solves
     ((2/n) P K + lam I) alpha = (2/n) P y.  FitInfo reports n_iters = 0,
-    converged = True and the gradient norm at the solution; cfg supplies
-    only lam.
+    converged = True and the gradient norm at the solution.
     """
+    _check_lam(lam)
     if not isinstance(loss, RankingSquaredLoss):
         raise TypeError("fit_pairwise requires RankingSquaredLoss")
     if data.n < 2:
         raise ValueError("pairwise fitting needs at least 2 observations")
     K = gram_matrix(kernel, data.inputs)
     n = data.n
-    lam = cfg.lam
     # P K P = K - m 1' - 1 m' + mean(m) for symmetric K with row means m; its
     # two triangles round differently and the in-place solve needs exact
     # symmetry, so the lower triangle is copied onto the upper one
@@ -610,12 +545,13 @@ def fit_pairwise(
     yc = _centre(data.outputs)
     alpha = _jittered_cholesky_solve(A, 0.5 * n * lam, yc, lam)
     del A
+    f = _expansion(kernel, data.inputs, alpha, lam)
     fvals = K @ alpha
     pr = yc - _centre(fvals)
     objective = float((2.0 / n) * (pr @ pr) + lam * (alpha @ fvals))
     grad_norm = float(np.linalg.norm(K @ (2.0 * lam * alpha - (4.0 / n) * pr)))
     info = FitInfo(objective, float((2.0 / n) * (yc @ yc)), 0, grad_norm, True)
-    return RkhsFunction(kernel, data.inputs, alpha), info
+    return f, info
 
 
 @dataclass(frozen=True, eq=False)

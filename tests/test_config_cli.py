@@ -1,5 +1,6 @@
 """Tests for config parsing and the command line front end."""
 
+import dataclasses
 import os
 import re
 import subprocess
@@ -177,6 +178,9 @@ def test_errors_carry_line_numbers(tmp_path):
     q = write(tmp_path, fit, "q.ini")
     with pytest.raises(ConfigError, match=rf"{re.escape(str(q))}:4: lambda must be positive"):
         parse_fit_config(q)
+    zero = write(tmp_path, fit.replace("-1", "0"), "zero.ini")
+    with pytest.raises(ConfigError, match=rf"{re.escape(str(zero))}:4: lambda must be positive, got 0.0"):
+        parse_fit_config(zero)
     # a bandwidth that the kernel rejects is reported at the gamma_coeff line
     r = write(tmp_path, MINIMAL_STUDY + "[schedule]\ngamma_coeff = 1e-160\n", "r.ini")
     with pytest.raises(ConfigError, match=rf"{re.escape(str(r))}:6: gamma_coeff 1e-160 at n = 8"):
@@ -261,24 +265,55 @@ def test_fit_pinball_requires_tau(tmp_path):
 
 
 def test_fit_solver_loss_mismatch(tmp_path):
+    # the loss picks its one solver; no key can pick another
     p = write(tmp_path, FIT_BASE.format(data="d.csv", loss="absolute", extra="solver = ridge\n"))
-    with pytest.raises(ConfigError, match="solver 'ridge' does not apply to loss 'absolute'"):
+    with pytest.raises(ConfigError, match=rf"{re.escape(str(p))}:5: unknown key 'solver' in \[fit\]"):
         parse_fit_config(p)
 
 
 @pytest.mark.parametrize("loss", ["pinball\ntau = 0.9", "absolute"])
 def test_fit_subgradient_solver_rejected_for_quantile_losses(tmp_path, loss):
-    # the exact dual solve replaced the subgradient method for these losses
+    # the exact dual solve is these losses' one solver
     p = write(tmp_path, FIT_BASE.format(data="d.csv", loss=loss, extra="solver = subgradient\n"))
-    name = loss.split()[0]
-    with pytest.raises(ConfigError, match=f"solver 'subgradient' does not apply to loss '{name}'"):
+    line = 4 + loss.count("\n") + 1
+    with pytest.raises(ConfigError, match=rf"{re.escape(str(p))}:{line}: unknown key 'solver' in \[fit\]"):
         parse_fit_config(p)
 
 
+# every loss of the [fit] table with the solver it records in the manifest
+FIT_LOSSES = [
+    ("squared", "ridge"),
+    ("absolute", "dual"),
+    ("pinball\ntau = 0.9", "dual"),
+    ("ranking_squared", "pairwise"),
+]
+
+
 def test_fit_default_solvers(tmp_path):
-    for loss, solver in [("squared", "ridge"), ("absolute", "dual"), ("ranking_squared", "pairwise")]:
-        p = write(tmp_path, FIT_BASE.format(data="d.csv", loss=loss, extra=""), f"{loss}.ini")
+    for loss, solver in FIT_LOSSES:
+        p = write(tmp_path, FIT_BASE.format(data="d.csv", loss=loss, extra=""), "fit.ini")
         assert parse_fit_config(p).solver == solver
+
+
+@pytest.mark.parametrize("key", ["solver", "tol"])
+@pytest.mark.parametrize("loss,solver", FIT_LOSSES, ids=lambda v: v.split()[0])
+def test_fit_solver_and_tol_are_unknown_keys(tmp_path, loss, solver, key):
+    # no loss has a second solver, and no solver iterates to a tolerance
+    bad = f"{key} = {solver if key == 'solver' else '1e-6'}"
+    text = FIT_BASE.format(data="d.csv", loss=loss, extra=bad + "\n")
+    p = write(tmp_path, text)
+    line = text.splitlines().index(bad) + 1
+    with pytest.raises(ConfigError, match=rf"{re.escape(str(p))}:{line}: unknown key '{key}' in \[fit\]"):
+        parse_fit_config(p)
+
+
+@pytest.mark.parametrize("loss,solver", FIT_LOSSES, ids=lambda v: v.split()[0])
+def test_fit_iteration_keys_are_accepted_and_ignored(tmp_path, loss, solver):
+    plain = parse_fit_config(write(tmp_path, FIT_BASE.format(data="d.csv", loss=loss, extra="")))
+    extra = "max_iters = 500\nstep_size0 = 0.5\n"
+    job = parse_fit_config(write(tmp_path, FIT_BASE.format(data="d.csv", loss=loss, extra=extra), "it.ini"))
+    assert (job.solver, job.lam, job.loss, job.kernel) == (solver, 0.1, plain.loss, plain.kernel)
+    assert not {"max_iters", "step_size0"} & {f.name for f in dataclasses.fields(job)}
 
 
 INDICATOR = "target = indicator\nlower = 0.0\nupper = 0.5"
@@ -423,17 +458,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli("study", "--config", str(bad), "--out", str(tmp_path / "o.csv")) == 1
     assert "config error" in capsys.readouterr().err
 
+    # outputs near the float limit overflow the ridge and ranking solves
     data = tmp_path / "d.csv"
-    data.write_text("0.0,1.0\n0.5,0.2\n1.0,2.0\n")
-    diverge = write(
-        tmp_path,
-        FIT_BASE.format(
-            data=data, loss="squared", extra="solver = subgradient\nstep_size0 = 1e200\nmax_iters = 50\n"
-        ),
-        "div.ini",
-    )
-    assert run_cli("fit", "--config", str(diverge), "--out", str(tmp_path / "f.csv")) == 2
-    assert "numerical failure" in capsys.readouterr().err
+    data.write_text("0.0,1e308\n0.001,-1e308\n")
+    for loss in ("squared", "ranking_squared"):
+        text = FIT_BASE.format(data=data, loss=loss, extra="").replace("lambda = 0.1", "lambda = 1e-12")
+        overflow = write(tmp_path, text, f"{loss}.ini")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run_cli("fit", "--config", str(overflow), "--out", str(tmp_path / "f.csv")) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure: solve gave non-finite coefficients (n=2, lam=1e-12)" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "f.csv").exists()
 
     cfg = write(tmp_path, TINY_STUDY, "t.ini")
     missing = tmp_path / "no" / "such" / "dir" / "o.csv"
@@ -545,10 +581,10 @@ def test_cli_fit_quantile_reports_the_dual_solve(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_fit_pairwise_reports_direct_solve(tmp_path, capsys):
-    # the subgradient knobs stay accepted for every solver; the direct solve ignores them
+    # the iteration keys stay accepted for every loss; the direct solve ignores them
     data = tmp_path / "d.csv"
     data.write_text("0.0,1.0\n0.5,0.2\n1.0,2.0\n")
-    extra = "max_iters = 500\nstep_size0 = 1.0\ntol = 1e-6\n"
+    extra = "max_iters = 500\nstep_size0 = 1.0\n"
     cfg = write(tmp_path, FIT_BASE.format(data=data, loss="ranking_squared", extra=extra))
     assert run_cli("fit", "--config", str(cfg), "--out", str(tmp_path / "fit.csv")) == 0
     out = capsys.readouterr().out

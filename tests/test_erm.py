@@ -12,8 +12,6 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from probdense import (
     AbsoluteLoss,
     Dataset,
-    FitConfig,
-    FitInfo,
     GaussianRBF,
     NumericalError,
     PinballLoss,
@@ -22,7 +20,6 @@ from probdense import (
     SquaredLoss,
     clip,
     empirical_risk,
-    fit_erm,
     fit_kernel_ridge,
     fit_pairwise,
     fit_quantile,
@@ -30,25 +27,16 @@ from probdense import (
     WendlandC2,
 )
 from probdense import erm as erm_mod
+from probdense import kernels as kernels_mod
 from probdense.kernels import pairwise
 
 
 def separated_problem(rng, n):
-    """Perturbed-grid inputs with bandwidth equal to the spacing.
-
-    Keeps the Gram well conditioned so the decaying-step solver actually
-    reaches the ridge optimum.
-    """
+    """Perturbed-grid inputs with bandwidth equal to the spacing, a well-conditioned Gram matrix."""
     spacing = 1.0 / n
     x = (np.arange(n) + rng.uniform(0.2, 0.8, n)) * spacing
     y = np.sin(3.0 * x) + 0.2 * rng.normal(size=n)
     return Dataset(x[:, None], y), GaussianRBF(spacing)
-
-
-def ridge_objective(data, kernel, lam, f):
-    K = gram_matrix(kernel, data.inputs)
-    fv = K @ f.coefficients
-    return float(np.mean((data.outputs - fv) ** 2) + lam * f.coefficients @ K @ f.coefficients)
 
 
 def test_dataset_validation():
@@ -59,18 +47,14 @@ def test_dataset_validation():
     assert Dataset(np.zeros((4, 2)), np.zeros(4)).n == 4
 
 
-def test_loss_values_and_subgradients():
+def test_loss_values():
     y = np.array([1.0, -1.0, 0.0])
     t = np.zeros(3)
     assert np.array_equal(SquaredLoss().values(y, t), np.array([1.0, 1.0, 0.0]))
     assert np.array_equal(AbsoluteLoss().values(y, t), np.array([1.0, 1.0, 0.0]))
-    # absolute subgradient picks 0 at an exact tie
-    assert np.array_equal(AbsoluteLoss().subgradient(y, t), np.array([-1.0, 1.0, 0.0]))
     pin = PinballLoss(0.9)
     low = 1.0 - 0.9  # deliberately not 0.1: floats
     assert np.array_equal(pin.values(y, t), np.array([0.9, low, 0.0]))
-    # residual 0 takes the tau-1 branch
-    assert np.array_equal(pin.subgradient(y, t), np.array([-0.9, low, low]))
     assert pin.lipschitz_constant == 0.9
     assert AbsoluteLoss().lipschitz_constant == 1.0
     assert SquaredLoss().lipschitz_constant is None
@@ -91,12 +75,36 @@ def test_pinball_tau_range_enforced(tau):
 
 
 def test_fit_config_validation():
-    with pytest.raises(ValueError):
-        FitConfig(lam=0.0)
-    with pytest.raises(ValueError):
-        FitConfig(lam=1.0, max_iters=0)
-    with pytest.raises(ValueError):
-        FitConfig(lam=1.0, step_size0=-1.0)
+    # every solver rejects a penalty that is not positive and finite
+    data = Dataset(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
+    solvers = (
+        lambda lam: fit_kernel_ridge(data, GaussianRBF(), lam),
+        lambda lam: fit_quantile(data, GaussianRBF(), PinballLoss(0.5), lam),
+        lambda lam: fit_pairwise(data, GaussianRBF(), RankingSquaredLoss(), lam),
+    )
+    for solve in solvers:
+        for lam in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="lam must be positive"):
+                solve(lam)
+
+
+@pytest.mark.parametrize(
+    "solve,lam",
+    [
+        (lambda data, k, lam: fit_kernel_ridge(data, k, lam), 1e-12),
+        (lambda data, k, lam: fit_pairwise(data, k, RankingSquaredLoss(), lam), 1e-12),
+        # the dual's alpha = u / (2 lam n) overflows only at a subnormal lam
+        (lambda data, k, lam: fit_quantile(data, k, PinballLoss(0.5), lam), 1e-320),
+    ],
+    ids=["ridge", "pairwise", "quantile"],
+)
+def test_non_finite_coefficients_are_a_numerical_error(solve, lam):
+    # outputs near the float limit overflow the solve; this is a numerical
+    # failure that names n and lam, not an invalid RkhsFunction
+    data = Dataset(np.array([[0.0], [0.001]]), np.array([1e308, -1e308]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match=rf"non-finite coefficients \(n=2, lam={lam!r}\)"):
+            solve(data, GaussianRBF(1.0), lam)
 
 
 def test_ridge_single_point_closed_form():
@@ -279,7 +287,7 @@ def test_in_place_factorization_is_bitwise_unchanged(monkeypatch):
     for fit, reference in (
         (lambda: fit_kernel_ridge(data, kernel, 1e-3), _ridge_reference),
         (
-            lambda: fit_pairwise(data, kernel, RankingSquaredLoss(), FitConfig(1e-3))[0],
+            lambda: fit_pairwise(data, kernel, RankingSquaredLoss(), 1e-3)[0],
             _pairwise_reference,
         ),
     ):
@@ -345,12 +353,24 @@ def test_ridge_logs_the_solve_path(monkeypatch, caplog):
         data = Dataset(rng.uniform(0, 1, (n, 1)), rng.normal(size=n))
         return _solve_messages(caplog, lambda: fit_kernel_ridge(data, kernel, lam))[1]
 
-    assert fit(512, GaussianRBF(0.1), 1e-3) == ["dense solve: 512 points fit one block"]
-    [message] = fit(1024, GaussianRBF(1024 ** (-1 / 3)), 1.0 / 1024)
+    def paths():
+        rng.bit_generator.state = np.random.default_rng(71).bit_generator.state
+        return [
+            fit(512, GaussianRBF(0.1), 1e-3),
+            fit(1024, GaussianRBF(1024 ** (-1 / 3)), 1.0 / 1024),
+            fit(600, WendlandC2(600 ** (-1 / 3)), 1.0 / 600),
+            fit(600, GaussianRBF(0.005), 1.0 / 600),
+        ]
+
+    dense, [message], wendland, capped = logged = paths()
+    assert dense == ["dense solve: 512 points, at most 512"]
     assert message.startswith("low-rank solve: rank ") and message.endswith(" of 1024")
     assert 0 < int(message.split()[3]) <= 1024 // 8
-    assert fit(600, WendlandC2(600 ** (-1 / 3)), 1.0 / 600) == ["dense solve: compactly supported kernel"]
-    assert fit(600, GaussianRBF(0.005), 1.0 / 600) == ["dense solve: rank cap 75 reached"]
+    assert wendland == ["dense solve: compactly supported kernel"]
+    assert capped == ["dense solve: rank cap 75 reached"]
+    # the solver's cutoff is its own: a smaller evaluation block moves no fit
+    monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", 2**16)
+    assert paths() == logged
     monkeypatch.setattr(erm_mod, "cho_factor", _counting_cho_factor({"n": 0, "calls": 0}, forced=1))
     [message] = fit(1024, GaussianRBF(1024 ** (-1 / 3)), 1.0 / 1024)
     assert message.startswith("dense solve: rank-") and message.endswith(" factor failed")
@@ -494,97 +514,16 @@ def test_pivot_basis_certificate(n, d, gamma, lam, seed):
     assert gap.max() <= bound + rounding
 
 
-def test_subgradient_zero_data_stays_at_zero():
-    rng = np.random.default_rng(17)
-    data = Dataset(rng.normal(size=(10, 1)), np.zeros(10))
-    f, info = fit_erm(data, GaussianRBF(), AbsoluteLoss(), FitConfig(0.1, max_iters=50))
-    assert info.objective_at_zero == 0.0
-    assert info.objective == 0.0
-    assert np.array_equal(f.coefficients, np.zeros(10))
-
-
-def test_subgradient_never_beats_zero_function_bound():
-    rng = np.random.default_rng(19)
-    for _ in range(10):
-        n = int(rng.integers(3, 40))
-        data = Dataset(rng.normal(size=(n, 2)), rng.normal(size=n))
-        loss = [AbsoluteLoss(), PinballLoss(0.3), SquaredLoss()][int(rng.integers(0, 3))]
-        cfg = FitConfig(10 ** rng.uniform(-4, 0), max_iters=60, step_size0=float(rng.uniform(0.01, 2.0)))
-        _, info = fit_erm(data, GaussianRBF(0.6), loss, cfg)
-        assert info.objective <= info.objective_at_zero
-
-
-def test_subgradient_matches_ridge_on_squared_loss():
-    rng = np.random.default_rng(23)
-    data, kernel = separated_problem(rng, 50)
-    lam = 0.05
-    ridge = fit_kernel_ridge(data, kernel, lam)
-    target = ridge_objective(data, kernel, lam, ridge)
-    K = gram_matrix(kernel, data.inputs)
-    ew = np.linalg.eigvalsh(K)
-    step = 1.0 / float((2.0 * ew**2 / data.n + 2.0 * lam * ew).max())
-    cfg = FitConfig(lam, max_iters=4000, step_size0=step)
-    _, info = fit_erm(data, kernel, SquaredLoss(), cfg)
-    assert abs(info.objective - target) <= 1e-4 * target
-
-
 def test_pinball_half_fit_equals_rescaled_absolute_fit():
     # rho_{1/2} = |r|/2 makes the two objectives proportional once the
-    # penalty doubles, and step doubling matches the trajectories exactly
+    # penalty doubles, so the exact fits coincide to rounding
     rng = np.random.default_rng(29)
     data = Dataset(rng.uniform(0, 1, (30, 1)), rng.normal(size=30))
     k = GaussianRBF(0.4)
-    fp, _ = fit_erm(data, k, PinballLoss(0.5), FitConfig(1e-2, max_iters=400, step_size0=1.0))
-    fa, _ = fit_erm(data, k, AbsoluteLoss(), FitConfig(2e-2, max_iters=400, step_size0=0.5))
+    fp, ip = fit_quantile(data, k, PinballLoss(0.5), 1e-2)
+    fa, ia = fit_quantile(data, k, AbsoluteLoss(), 2e-2)
     assert np.abs(fp(data.inputs) - fa(data.inputs)).max() <= 1e-10
-
-
-def test_subgradient_divergence_raises():
-    rng = np.random.default_rng(31)
-    data = Dataset(rng.uniform(0, 1, (6, 1)), rng.normal(size=6))
-    cfg = FitConfig(1e-3, max_iters=50, step_size0=1e200)
-    with pytest.raises(NumericalError):
-        fit_erm(data, GaussianRBF(0.5), AbsoluteLoss(), cfg)
-
-
-def _four_matvec_subgradient(data, kernel, loss, cfg):
-    """fit_erm as first written: K @ alpha recomputed for the gradient, fvals and the penalty."""
-    K = gram_matrix(kernel, data.inputs)
-    y, n = data.outputs, data.n
-    alpha = np.zeros(n)
-    fvals = np.zeros(n)
-
-    def objective(a, fv):
-        return float(np.mean(loss.values(y, fv)) + cfg.lam * (a @ (K @ a)))
-
-    best_alpha = alpha
-    best_obj = obj_zero = objective(alpha, fvals)
-    grad_norm = np.inf
-    iters_run = 0
-    for t in range(1, cfg.max_iters + 1):
-        grad = (K @ loss.subgradient(y, fvals)) / n + (2.0 * cfg.lam) * (K @ alpha)
-        grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= cfg.tol:
-            break
-        alpha = alpha - cfg.step_size0 / np.sqrt(t) * grad
-        fvals = K @ alpha
-        obj = objective(alpha, fvals)
-        if obj < best_obj:
-            best_obj, best_alpha = obj, alpha
-        iters_run = t
-    return best_alpha, FitInfo(best_obj, obj_zero, iters_run, grad_norm, grad_norm <= cfg.tol)
-
-
-@pytest.mark.parametrize("loss", [PinballLoss(0.9), AbsoluteLoss(), SquaredLoss()])
-def test_subgradient_reuses_fvals_bitwise(loss):
-    rng = np.random.default_rng(59)
-    x = rng.uniform(0, 1, 80)
-    data = Dataset(x[:, None], np.sin(2 * np.pi * x) + 0.3 * rng.normal(size=80))
-    cfg = FitConfig(1e-3, max_iters=300, step_size0=0.5)
-    f, info = fit_erm(data, GaussianRBF(0.2), loss, cfg)
-    alpha, expected = _four_matvec_subgradient(data, GaussianRBF(0.2), loss, cfg)
-    assert np.array_equal(f.coefficients, alpha)
-    assert info == expected
+    assert ia.objective == pytest.approx(2.0 * ip.objective, rel=1e-12)
 
 
 def _quantile_tolerance(y, lam):
@@ -609,7 +548,7 @@ def test_fit_quantile_is_the_exact_minimiser(n, distinct, d, tied, tau, lam, gam
     X = rng.uniform(0, 1, (m, d))[rng.integers(0, m, n)]
     y = rng.choice([-1.5, 0.25, 2.0], n) if tied else rng.uniform(-3.0, 3.0, n)
     data, kernel, loss = Dataset(X, y), GaussianRBF(gamma), PinballLoss(tau)
-    f, info = fit_quantile(data, kernel, loss, FitConfig(lam))
+    f, info = fit_quantile(data, kernel, loss, lam)
     tol = _quantile_tolerance(y, lam)
     assert info.converged and info.grad_norm <= np.sqrt(n) * tol
     # KKT: u = 2 lam n alpha in [tau - 1, tau], u = tau where r > 0, tau - 1 where r < 0
@@ -627,13 +566,10 @@ def test_fit_quantile_is_the_exact_minimiser(n, distinct, d, tied, tau, lam, gam
         dual = float(u @ y - 0.5 * u @ (K @ f.coefficients)) / n
         rounding = 8 * np.finfo(float).eps * (np.abs(y).max() + np.abs(K @ f.coefficients).max())
         assert info.objective - dual <= 1e-10 * info.objective + rounding
-    step = min(0.5, 0.5 / (lam * n))
-    _, subgradient = fit_erm(data, kernel, loss, FitConfig(lam, max_iters=100, step_size0=step))
-    for other in (info.objective_at_zero, subgradient.objective):
-        assert info.objective <= other * (1.0 + 1e-12) + tol
+    assert info.objective <= info.objective_at_zero * (1.0 + 1e-12) + tol
     # the absolute loss is 2 * pinball(0.5) at half the penalty
-    fa, ia = fit_quantile(data, kernel, AbsoluteLoss(), FitConfig(lam))
-    fp, ip = fit_quantile(data, kernel, PinballLoss(0.5), FitConfig(lam / 2.0))
+    fa, ia = fit_quantile(data, kernel, AbsoluteLoss(), lam)
+    fp, ip = fit_quantile(data, kernel, PinballLoss(0.5), lam / 2.0)
     np.testing.assert_allclose(fa.coefficients, fp.coefficients, rtol=1e-12, atol=0.0)
     assert ia.objective == pytest.approx(2.0 * ip.objective, rel=1e-12)
 
@@ -642,7 +578,7 @@ def test_fit_quantile_on_one_repeated_input_is_the_penalised_median():
     # K = 11' is singular: f is the constant c = sum alpha, and
     # mean |y - c| / 2 + lam c^2 is minimised at the median 2, a kink
     data = Dataset(np.full((5, 1), 0.3), np.arange(5.0))
-    f, info = fit_quantile(data, GaussianRBF(0.5), PinballLoss(0.5), FitConfig(1e-3))
+    f, info = fit_quantile(data, GaussianRBF(0.5), PinballLoss(0.5), 1e-3)
     assert info.converged
     assert f(np.array([[0.3]]))[0] == pytest.approx(2.0, abs=1e-12)
     assert info.objective == pytest.approx(0.6 + 1e-3 * 4.0, rel=1e-12)
@@ -657,7 +593,7 @@ def test_fit_quantile_on_a_numerically_singular_gram_matrix(seed):
     x = rng.uniform(0, 1, 40)
     y = rng.uniform(-3.0, 3.0, 40)
     lam, tau = 1e-11, 0.7
-    f, info = fit_quantile(Dataset(x[:, None], y), GaussianRBF(10.0), PinballLoss(tau), FitConfig(lam))
+    f, info = fit_quantile(Dataset(x[:, None], y), GaussianRBF(10.0), PinballLoss(tau), lam)
     tol = _quantile_tolerance(y, lam)
     assert info.converged and np.all(np.isfinite(f.coefficients))
     u = 2.0 * lam * 40 * f.coefficients
@@ -671,7 +607,7 @@ def test_fit_quantile_on_a_numerically_singular_gram_matrix(seed):
 
 def test_fit_quantile_zero_outputs_give_zero_function():
     data = Dataset(np.random.default_rng(71).uniform(0, 1, (12, 1)), np.zeros(12))
-    f, info = fit_quantile(data, GaussianRBF(0.3), PinballLoss(0.3), FitConfig(0.1))
+    f, info = fit_quantile(data, GaussianRBF(0.3), PinballLoss(0.3), 0.1)
     assert info.converged and info.objective_at_zero == 0.0
     assert np.abs(f(data.inputs)).max() <= 1e-12
     assert info.objective <= 1e-12
@@ -691,7 +627,7 @@ def test_fit_quantile_rejects_other_losses():
     data = Dataset(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
     for loss in (SquaredLoss(), RankingSquaredLoss()):
         with pytest.raises(TypeError):
-            fit_quantile(data, GaussianRBF(), loss, FitConfig(0.1))
+            fit_quantile(data, GaussianRBF(), loss, 0.1)
 
 
 def test_fit_quantile_holds_one_n_by_n_array():
@@ -701,7 +637,7 @@ def test_fit_quantile_holds_one_n_by_n_array():
     data = Dataset(x[:, None], np.sin(6.0 * x) + 0.3 * rng.normal(size=n))
     tracemalloc.start()
     try:
-        _, info = fit_quantile(data, GaussianRBF(0.2), PinballLoss(0.9), FitConfig(1e-3))
+        _, info = fit_quantile(data, GaussianRBF(0.2), PinballLoss(0.9), 1e-3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -712,7 +648,7 @@ def test_fit_quantile_holds_one_n_by_n_array():
 
 def test_pairwise_equal_outputs_stay_at_zero():
     data = Dataset(np.array([[0.0], [0.5], [1.0]]), np.full(3, 2.0))
-    f, info = fit_pairwise(data, GaussianRBF(), RankingSquaredLoss(), FitConfig(0.1, max_iters=50))
+    f, info = fit_pairwise(data, GaussianRBF(), RankingSquaredLoss(), 0.1)
     assert info.objective == 0.0
     assert info.converged
     assert np.array_equal(f.coefficients, np.zeros(3))
@@ -720,8 +656,7 @@ def test_pairwise_equal_outputs_stay_at_zero():
 
 def test_pairwise_two_point_sign_convention():
     data = Dataset(np.array([[0.0], [100.0]]), np.array([0.0, 1.0]))
-    cfg = FitConfig(1e-6, max_iters=500, step_size0=1.0)
-    f, _ = fit_pairwise(data, GaussianRBF(1.0), RankingSquaredLoss(), cfg)
+    f, _ = fit_pairwise(data, GaussianRBF(1.0), RankingSquaredLoss(), 1e-6)
     fitted_diff = f([0.0]) - f([100.0])
     assert abs(fitted_diff - (-1.0)) < 0.1
 
@@ -729,17 +664,17 @@ def test_pairwise_two_point_sign_convention():
 def test_pairwise_huge_penalty_shrinks_to_zero():
     rng = np.random.default_rng(37)
     data = Dataset(rng.uniform(0, 1, (12, 1)), rng.normal(size=12))
-    f, _ = fit_pairwise(data, GaussianRBF(0.5), RankingSquaredLoss(), FitConfig(1e6, max_iters=200))
+    f, _ = fit_pairwise(data, GaussianRBF(0.5), RankingSquaredLoss(), 1e6)
     assert np.abs(f(data.inputs)).max() < 1e-3
 
 
 def test_pairwise_rejects_wrong_loss_and_tiny_datasets():
     data = Dataset(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
     with pytest.raises(TypeError):
-        fit_pairwise(data, GaussianRBF(), AbsoluteLoss(), FitConfig(0.1))
+        fit_pairwise(data, GaussianRBF(), AbsoluteLoss(), 0.1)
     single = Dataset(np.array([[0.0]]), np.array([1.0]))
     with pytest.raises(ValueError):
-        fit_pairwise(single, GaussianRBF(), RankingSquaredLoss(), FitConfig(0.1))
+        fit_pairwise(single, GaussianRBF(), RankingSquaredLoss(), 0.1)
 
 
 def _pairwise_objective(data, kernel, lam, a):
@@ -764,7 +699,7 @@ def test_pairwise_fit_is_the_exact_minimiser(x, data, kernel, lam, shift, seed):
     y = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
     X = np.array(x)[:, None]
     sample = Dataset(X, y)
-    f, info = fit_pairwise(sample, kernel, RankingSquaredLoss(), FitConfig(lam))
+    f, info = fit_pairwise(sample, kernel, RankingSquaredLoss(), lam)
     a = f.coefficients
     assert (info.n_iters, info.converged) == (0, True)
     K = gram_matrix(kernel, X)
@@ -777,7 +712,7 @@ def test_pairwise_fit_is_the_exact_minimiser(x, data, kernel, lam, shift, seed):
     # the gradient is 2 K (lam alpha - (2/n) P r), so the residual's bound times ||K|| <= n
     assert info.grad_norm <= 2e-12 * n**1.5 * scale + tiny
     assert abs(a.sum()) <= 1e-12 * (np.abs(a).sum() + np.abs(y).sum() / (n * lam)) + tiny
-    shifted, _ = fit_pairwise(Dataset(X, y + shift), kernel, RankingSquaredLoss(), FitConfig(lam))
+    shifted, _ = fit_pairwise(Dataset(X, y + shift), kernel, RankingSquaredLoss(), lam)
     atol = 1e-11 * (np.abs(y).max() + abs(shift)) / lam + tiny
     np.testing.assert_allclose(shifted.coefficients, a, rtol=0, atol=atol)
     obj = _pairwise_objective(sample, kernel, lam, a)
@@ -792,7 +727,7 @@ def test_pairwise_fit_is_the_exact_minimiser(x, data, kernel, lam, shift, seed):
 @pytest.mark.parametrize("c", [2.0, 0.1, -3.7e5, 1e-300])
 def test_pairwise_constant_outputs_give_zero(c):
     data = Dataset(np.linspace(0.0, 1.0, 7)[:, None], np.full(7, c))
-    f, info = fit_pairwise(data, GaussianRBF(0.3), RankingSquaredLoss(), FitConfig(1e-3))
+    f, info = fit_pairwise(data, GaussianRBF(0.3), RankingSquaredLoss(), 1e-3)
     assert np.array_equal(f.coefficients, np.zeros(7))
     assert info.objective == 0.0 and info.objective_at_zero == 0.0 and info.grad_norm == 0.0
 
