@@ -93,7 +93,7 @@ def _cmd_study(args) -> int:
     return 0
 
 
-def _load_dataset(path) -> Dataset:
+def _load_dataset(path, kernel) -> Dataset:
     try:
         raw = np.loadtxt(path, delimiter=",", ndmin=2)
     except OSError as exc:
@@ -103,14 +103,16 @@ def _load_dataset(path) -> Dataset:
     if raw.shape[1] < 2:
         raise ConfigError(f"dataset {path} needs at least two columns (features..., output)")
     try:
-        return Dataset(raw[:, :-1], raw[:, -1])
+        data = Dataset(raw[:, :-1], raw[:, -1])
+        kernel._scaled(data.inputs, "inputs")  # a Wendland kernel divides them by its radius
+        return data
     except ValueError as exc:
         raise ConfigError(f"invalid dataset {path}: {exc}") from None
 
 
 def _cmd_fit(args) -> int:
     job = parse_fit_config(args.config)
-    data = _load_dataset(job.data_path)
+    data = _load_dataset(job.data_path, job.kernel)
     if job.solver == "ridge":
         fitted = fit_kernel_ridge(data, job.kernel, job.lam)
         detail = "direct solve"

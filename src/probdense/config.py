@@ -312,6 +312,10 @@ class KernelEvalJob:
     kernel: object
     points: np.ndarray
 
+    def __post_init__(self):
+        # a Wendland kernel divides the points by its support radius
+        self.kernel._scaled(self.points, "points")
+
 
 @dataclass(frozen=True, eq=False)
 class PsiJob:

@@ -284,7 +284,8 @@ class StudyConfig:
             raise ValueError(f"gamma_coeff must be positive, got {self.gamma_coeff!r}")
         for n in (sizes[-1], sizes[0]):  # the smallest and the largest bandwidth
             try:
-                self.kernel_for(n)
+                # every point lies in the domain, so its ends bound the scaled coordinates
+                self.kernel_for(n)._scaled(np.array(self.target.domain)[:, None], "domain")
             except ValueError as exc:
                 raise ValueError(f"gamma_coeff {self.gamma_coeff!r} at n = {n}: {exc}") from None
         if not (np.isfinite(self.lambda_coeff) and self.lambda_coeff > 0.0):

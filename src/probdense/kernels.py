@@ -3,11 +3,14 @@
 Point-level kernels (Gaussian RBF, compactly supported Wendland C^2) are
 evaluated through one row-block path (``_blocks``) so that k(x, y) == k(y, x)
 bitwise, Gram entries agree bitwise with pairwise evaluation, and kernel
-expansions are evaluated without holding the full kernel matrix.  A
+expansions are evaluated without holding the full kernel matrix.  The
+Gaussian takes squared distances and divides them by gamma^2; the Wendland
+kernel divides the coordinates by its support radius once per call and
+takes scaled distances r = |x' - c'| (1-D) or sqrt(sum (x' - c')^2).  A
 Wendland expansion evaluates, per row block, only the centres whose first
-coordinate lies within the support radius of the block's rows: the skipped
-columns are exactly zero, but the sum runs in sorted order, so it agrees
-with ``pairwise(k, X, C) @ a`` to rounding and depends on the block size.
+scaled coordinate lies within 1 of the block's rows: the skipped columns
+are exactly zero, but the sum runs in sorted order, so it agrees with
+``pairwise(k, X, C) @ a`` to rounding and depends on the block size.
 On top of them sits a measure-level Gaussian kernel: a Gaussian of the
 maximum mean discrepancy between two empirical measures.
 """
@@ -38,20 +41,21 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 # Entries per evaluation block: a block is as many whole rows as keep its
-# (rows, m, d) coordinate differences within this count (2 MiB of float64),
-# and at least one row.  A call reuses the same few block-sized buffers for
-# every block, so evaluation memory is bounded by this size, never by the
-# number of points.  Blocks split rows only, so every entry is bitwise
-# independent of it.
-_BLOCK_ENTRIES = 1 << 18
+# (rows, m, d) coordinate differences within this count (512 KiB of float64,
+# so each buffer stays in a core's L2 cache), and at least one row.  A call
+# reuses the same three block-sized buffers for every block, so evaluation
+# memory is bounded by this size, never by the number of points.  Blocks
+# split rows only, so every entry is bitwise independent of it.
+_BLOCK_ENTRIES = 1 << 16
 
 
 def _check_bandwidth(name: str, value) -> None:
     """Reject a bandwidth whose square is not a normal double.
 
-    Squared distances are divided by the squared bandwidth (Gaussian) or
-    measured against it (Wendland); below sqrt(tiny) ~ 1.49e-154 they
-    underflow to 0, above sqrt(max) they overflow, and the values are wrong.
+    The Gaussian divides squared distances by the squared bandwidth; below
+    sqrt(tiny) ~ 1.49e-154 it underflows to 0, above sqrt(max) it overflows,
+    and the values are wrong.  The Wendland kernel, which divides the
+    coordinates by its radius instead, keeps the same range.
     """
     if not (value > 0.0 and np.finfo(float).tiny <= value * value < np.inf):
         raise ValueError(
@@ -65,9 +69,15 @@ class GaussianRBF:
     """Gaussian radial kernel exp(-||x - y||^2 / gamma^2)."""
 
     gamma: float = 1.0
+    # _transform takes squared distances in the caller's coordinates
+    _distances = False
 
     def __post_init__(self):
         _check_bandwidth("gamma", self.gamma)
+
+    def _scaled(self, X: np.ndarray, name: str) -> np.ndarray:
+        """X itself: the Gaussian divides squared distances by gamma^2 instead."""
+        return X
 
     def _transform(self, d2: np.ndarray, work: np.ndarray) -> None:
         """Overwrite squared distances with exp(-d2 / gamma^2); work is unused."""
@@ -80,23 +90,39 @@ class WendlandC2:
     """Compactly supported Wendland kernel (1 - r)_+^4 (4r + 1).
 
     r is the Euclidean distance divided by ``support_radius``; the kernel is
-    exactly zero for r >= 1, C^2 smooth, and takes values in [0, 1].  The
-    fourth power is two squarings.  ``kernel_matvec`` skips the centres
-    outside the support of each row block, whose values are exactly zero,
-    and sums the rest in sorted order.
+    exactly zero for r >= 1, C^2 smooth, and takes values in [0, 1].  Each
+    call divides the coordinates by ``support_radius`` once and measures r
+    between the scaled points: |x' - c'| in 1-D, sqrt(sum (x' - c')^2)
+    otherwise.  Points whose scaled coordinates overflow are a ValueError.
+    r is clipped at 1, so far points, even at an infinite computed
+    distance, give exactly 0.  The fourth power is two squarings.
+    ``kernel_matvec`` skips the centres outside the support of each row
+    block, whose values are exactly zero, and sums the rest in sorted order.
     """
 
     support_radius: float = 1.0
+    # _transform takes distances between the points of _scaled
+    _distances = True
 
     def __post_init__(self):
         _check_bandwidth("support_radius", self.support_radius)
 
-    def _transform(self, d2: np.ndarray, work: np.ndarray) -> None:
-        """Overwrite squared distances with the kernel; work is same-shape scratch."""
-        r = np.sqrt(d2, out=d2)
-        r /= self.support_radius
+    def _scaled(self, X: np.ndarray, name: str) -> np.ndarray:
+        """X / support_radius; a non-finite result is a ValueError that names name."""
+        R = self.support_radius
+        with np.errstate(over="ignore"):
+            scaled = X / R
+        if not np.isfinite(scaled).all():
+            raise ValueError(
+                f"{name} divided by support_radius {R!r} overflow: |coordinates| up to "
+                f"{float(np.abs(X).max())!r} must stay below support_radius * 1.8e308"
+            )
+        return scaled
+
+    def _transform(self, r: np.ndarray, work: np.ndarray) -> None:
+        """Overwrite scaled distances with the kernel; work is same-shape scratch."""
+        np.minimum(r, 1.0, out=r)
         base = np.subtract(1.0, r, out=work)
-        np.maximum(0.0, base, out=base)
         np.multiply(base, base, out=base)
         np.multiply(base, base, out=base)
         r *= 4.0
@@ -162,9 +188,11 @@ def _point_pair(k, X, Y) -> tuple[np.ndarray, np.ndarray]:
 def _blocks(k, X: np.ndarray, Y: np.ndarray, out=None, consume=None, columns=None) -> None:
     """Build K[i, j] = k(X[i], Y[j]) in consecutive row blocks, handing each to consume.
 
-    Each block is built in place from explicit coordinate differences (never
-    the expanded dot-product identity): subtract, square, sum over the
-    coordinate axis when d > 1, then the kernel's transform.  Blocks are
+    X and Y are in the kernel's ``_scaled`` coordinates.  Each block is built
+    in place from explicit coordinate differences (never the expanded
+    dot-product identity): subtract, then square and sum over the coordinate
+    axis (a square root of the sum, or the absolute difference in 1-D, for
+    a kernel that takes distances), then the kernel's transform.  Blocks are
     views of ``out`` when given, else of a scratch buffer that the next block
     overwrites; ``consume(rows, cols, block)``, when given, runs on each block
     right after it is built.  ``columns(start, stop)``, when given, returns
@@ -191,19 +219,24 @@ def _blocks(k, X: np.ndarray, Y: np.ndarray, out=None, consume=None, columns=Non
         block = scratch[:entries].reshape(shape) if out is None else out[start:stop]
         if d == 1:
             np.subtract(X[start:stop], Yb.T, out=block)
-            np.multiply(block, block, out=block)
+            if k._distances:
+                np.abs(block, out=block)
+            else:
+                np.multiply(block, block, out=block)
         else:
             t = diff[: entries * d].reshape(shape + (d,))
             np.subtract(X[start:stop, None, :], Yb[None, :, :], out=t)
             np.multiply(t, t, out=t)
             np.sum(t, axis=-1, out=block)
+            if k._distances:
+                np.sqrt(block, out=block)
         k._transform(block, work[:entries].reshape(shape))
         if consume is not None:
             consume(slice(start, stop), cols, block)
 
 
 def _kernel_diag(k, n: int) -> np.ndarray:
-    """k(x, x) at n points: the kernel's transform of zero squared distances."""
+    """k(x, x) at n points: the kernel's transform of zero distances."""
     diag = np.zeros(n)
     k._transform(diag, np.empty(n))
     return diag
@@ -217,7 +250,8 @@ def pairwise(k, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """
     X, Y = _point_pair(k, X, Y)
     out = np.empty((X.shape[0], Y.shape[0]))
-    _blocks(k, X, Y, out)
+    Xs = k._scaled(X, "X")
+    _blocks(k, Xs, Xs if Y is X else k._scaled(Y, "Y"), out)
     return out
 
 
@@ -229,16 +263,17 @@ def kernel_matvec(k, X, C, a) -> np.ndarray:
     bitwise equal to ``pairwise(k, X, C) @ a``; otherwise it agrees up to
     the rounding of row-split BLAS products.
 
-    For a Wendland kernel the rows and the centres are sorted by their first
-    coordinate, and each block of sorted rows is evaluated only against the
-    centres whose first coordinate lies within the support radius of the
-    block's first-coordinate range; the values are scattered back to the
-    caller's row order.  Since |x_1 - c_1| <= ||x - c||, every skipped column
-    is exactly zero in any dimension, but the remaining ones are summed in
-    sorted order over a window that depends on the block size, so the result
-    agrees with ``pairwise(k, X, C) @ a`` to rounding.  The rows are sorted
-    on all coordinates and equal rows are evaluated once, so the value of
-    each row is bitwise independent of the row order.
+    For a Wendland kernel the scaled rows and centres (coordinates divided
+    by the support radius) are sorted by their first coordinate, and each
+    block of sorted rows is evaluated only against the centres whose first
+    scaled coordinate lies within 1 of the block's first-coordinate range;
+    the values are scattered back to the caller's row order.  Since
+    |x_1 - c_1| <= ||x - c||, every skipped column is exactly zero in any
+    dimension, but the remaining ones are summed in sorted order over a
+    window that depends on the block size, so the result agrees with
+    ``pairwise(k, X, C) @ a`` to rounding.  The rows are sorted on all scaled
+    coordinates and equal ones are evaluated once, so the value of each row
+    is bitwise independent of the row order.
     """
     X, C = _point_pair(k, X, C)
     a = np.asarray(a, dtype=float)
@@ -248,6 +283,7 @@ def kernel_matvec(k, X, C, a) -> np.ndarray:
     if not isinstance(k, WendlandC2):
         _blocks(k, X, C, consume=lambda rows, _, block: np.matmul(block, a, out=out[rows]))
         return out
+    X, C = k._scaled(X, "X"), k._scaled(C, "C")
     order = np.lexsort(X.T[::-1])
     X = X[order]
     # one evaluation per distinct row: equal rows in different blocks could
@@ -258,14 +294,14 @@ def kernel_matvec(k, X, C, a) -> np.ndarray:
     by_first = np.argsort(C[:, 0], kind="stable")
     C, a = C[by_first], a[by_first]
     c1 = C[:, 0]
-    R = k.support_radius
 
-    # Rounding is monotone, so c1 < fl(x1 - R) implies x1 - c1 > R, hence a
-    # computed |x1 - c1| >= R, a computed r >= 1 and a value of exactly 0; a
-    # centre with c1 == fl(x1 -/+ R) may lie inside the support and is kept.
+    # In scaled coordinates the support is r < 1.  Rounding is monotone, so
+    # c1 < fl(x1 - 1) implies x1 - c1 > 1, hence a computed |x1 - c1| >= 1, a
+    # computed r >= 1 and a value of exactly 0; a centre with
+    # c1 == fl(x1 -/+ 1) may lie inside the support and is kept.
     def columns(start, stop):
-        lo = np.searchsorted(c1, X[start, 0] - R, side="left")
-        hi = np.searchsorted(c1, X[stop - 1, 0] + R, side="right")
+        lo = np.searchsorted(c1, X[start, 0] - 1.0, side="left")
+        hi = np.searchsorted(c1, X[stop - 1, 0] + 1.0, side="right")
         return slice(lo, hi)
 
     values = np.empty(X.shape[0])

@@ -607,6 +607,37 @@ def test_cli_kernel_eval(tmp_path, capsys):
     assert "seed = none\n" in manifest
 
 
+def test_cli_rejects_points_that_overflow_the_support_radius(tmp_path, capsys):
+    # the Wendland kernel divides every coordinate by its radius: 1e300 / 1e-150 overflows
+    kernel = "[kernel]\nfamily = wendland_c2\nsupport_radius = 1e-150\n"
+    cfg = write(tmp_path, kernel + "[points]\npoints = 0.0 ; 1e300\n")
+    out = tmp_path / "gram.csv"
+    assert run_cli("kernel-eval", "--config", str(cfg), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {cfg}:5: points divided by support_radius 1e-150 overflow" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+    data = tmp_path / "d.csv"
+    data.write_text("0.0,1.0\n1e300,2.0\n")
+    text = FIT_BASE.format(data=data, loss="squared", extra="")
+    fit = write(tmp_path, text.replace("family = gaussian_rbf\ngamma = 1.0", kernel[9:]), "fit.ini")
+    assert run_cli("fit", "--config", str(fit), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert f"config error: invalid dataset {data}: inputs divided by support_radius" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+    study = MINIMAL_STUDY + "domain = 0.0 1e300\n[kernel]\nfamily = wendland_c2\n"
+    study += "[schedule]\ngamma_coeff = 1e-150\n"
+    cfg = write(tmp_path, study, "study.ini")
+    assert run_cli("study", "--config", str(cfg), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "gamma_coeff 1e-150 at n = 8: domain divided by support_radius" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_kernel_eval_skips_probe_on_duplicates(tmp_path, capsys):
     cfg = write(tmp_path, "[kernel]\ngamma = 1.0\n[points]\npoints = 0.5 ; 0.5\n")
     out = tmp_path / "gram.csv"

@@ -368,9 +368,11 @@ def test_ridge_logs_the_solve_path(monkeypatch, caplog):
     assert 0 < int(message.split()[3]) <= 1024 // 8
     assert wendland == ["dense solve: compactly supported kernel"]
     assert capped == ["dense solve: rank cap 75 reached"]
-    # the solver's cutoff is its own: a smaller evaluation block moves no fit
-    monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", 2**16)
-    assert paths() == logged
+    # the solver's cutoff is its own: a larger or smaller evaluation block
+    # than the default moves no fit
+    for block in (2**20, 2**12):
+        monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", block)
+        assert paths() == logged
     monkeypatch.setattr(erm_mod, "cho_factor", _counting_cho_factor({"n": 0, "calls": 0}, forced=1))
     [message] = fit(1024, GaussianRBF(1024 ** (-1 / 3)), 1.0 / 1024)
     assert message.startswith("dense solve: rank-") and message.endswith(" factor failed")
@@ -642,7 +644,7 @@ def test_fit_quantile_holds_one_n_by_n_array():
     finally:
         tracemalloc.stop()
     assert info.converged
-    # K alone is 32 MiB, its block buffers 6 MiB; a copy of K would add 32 MiB
+    # K alone is 32 MiB, its block buffers 1.5 MiB; a copy of K would add 32 MiB
     assert peak < 40 * 2**20
 
 

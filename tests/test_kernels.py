@@ -78,6 +78,34 @@ def test_smallest_bandwidths_keep_their_values():
     assert eval_kernel(GaussianRBF(tiny), [0.0], [tiny]) == pytest.approx(E_INV, rel=1e-15)
 
 
+def test_wendland_far_points_are_exactly_zero():
+    # distances whose square (d = 2) or difference (x' = +-1e308) overflows to inf
+    k = WendlandC2(1.0)
+    with np.errstate(over="ignore"):
+        assert eval_kernel(k, [0.0], [1e155]) == 0.0
+        assert eval_kernel(k, [0.0, 0.0], [1e155, 0.0]) == 0.0
+        assert eval_kernel(k, [-1e308], [1e308]) == 0.0
+        K = kernels_mod.pairwise(k, np.array([[-1e308], [0.0]]), np.array([[1e308], [0.5]]))
+    assert np.array_equal(K, [[0.0, 0.0], [0.0, 0.1875]])
+
+
+def test_wendland_scaled_coordinates_must_be_finite():
+    # 1e300 / 1e-150 overflows; the same points are fine for the Gaussian
+    k = WendlandC2(1e-150)
+    X = np.array([[0.0], [1e300]])
+    for call in (
+        lambda: gram_matrix(k, X),
+        lambda: eval_kernel(k, [1e300], [0.0]),
+        lambda: kernels_mod.kernel_matvec(k, X[:1], X, np.ones(2)),
+        lambda: kernels_mod.kernel_matvec(k, X, X[:1], np.ones(1)),
+    ):
+        with pytest.raises(ValueError, match=r"divided by support_radius 1e-150 overflow"):
+            call()
+    with np.errstate(over="ignore"):  # the Gaussian squares the differences
+        assert np.array_equal(gram_matrix(GaussianRBF(1e-150), X), np.eye(2))
+    assert gram_matrix(WendlandC2(1e-8), X)[0, 0] == 1.0
+
+
 @pytest.mark.parametrize("k", [GaussianRBF(0.8), WendlandC2(2.5)])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_symmetry_is_exact(k, d):
@@ -108,12 +136,19 @@ def test_row_chunking_does_not_change_results(monkeypatch):
 
 
 def _sqdist_formula(k, X, Y):
-    """Out-of-place reference: the kernel of ((X[:, None] - Y[None]) ** 2).sum(-1)."""
-    d2 = ((X[:, None, :] - Y[None, :, :]) ** 2).sum(-1)
+    """Out-of-place reference arithmetic of each kernel.
+
+    Gaussian: exp of ((X[:, None] - Y[None]) ** 2).sum(-1) / -gamma^2.  Wendland:
+    the coordinates divided by the support radius, then r = |x' - y'| in 1-D and
+    sqrt of the summed squared differences otherwise, clipped at 1.
+    """
     if isinstance(k, GaussianRBF):
+        d2 = ((X[:, None, :] - Y[None, :, :]) ** 2).sum(-1)
         return np.exp(-d2 / (k.gamma * k.gamma))
-    r = np.sqrt(d2) / k.support_radius
-    base = np.maximum(0.0, 1.0 - r)
+    diff = X[:, None, :] / k.support_radius - Y[None, :, :] / k.support_radius
+    r = np.abs(diff[..., 0]) if X.shape[1] == 1 else np.sqrt((diff**2).sum(-1))
+    r = np.minimum(r, 1.0)
+    base = 1.0 - r
     return (base * base) * (base * base) * (4.0 * r + 1.0)
 
 
@@ -155,30 +190,38 @@ def test_wendland_squarings_match_power_form():
 
 
 def _at_radius(rng, centers, radius, k, d):
-    """A point at distance radius * (1 + k 2^-52) from a random centre, along the first axis or not."""
-    c = centers[rng.integers(len(centers))]
+    """A point at scaled distance 1 + k 2^-52 (distance / radius) from a random centre.
+
+    The offset is along the first axis or not; the point is built in scaled
+    coordinates and multiplied back by radius, so it lies within a few units of
+    roundoff of the support boundary that kernel_matvec's window tests.
+    """
+    c = centers[rng.integers(len(centers))] / radius
     u = np.eye(d)[0] if rng.random() < 0.5 else rng.normal(size=d)
     u *= rng.choice([-1.0, 1.0]) / np.linalg.norm(u)
-    return c + radius * (1.0 + k * 2.0**-52) * u
+    return (c + (1.0 + k * 2.0**-52) * u) * radius
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    radius=st.sampled_from([0.05, 0.3, 1.0, 2.5]),
+    radius=st.sampled_from([0.05, 0.1, 0.3, 1.0 / 3.0, 1.0, 2.5]),
+    offset=st.sampled_from([0.0, 1e3]),
     d=st.sampled_from([1, 3]),
     n=st.integers(1, 60),
     m=st.integers(1, 40),
     duplicates=st.integers(0, 5),
     boundary=st.integers(0, 20),
-    block=st.sampled_from([1, 7, 64, 2**18]),
+    block=st.sampled_from([1, 7, 64, 2**16]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_wendland_matvec_skips_only_zero_columns(radius, d, n, m, duplicates, boundary, block, seed):
+def test_wendland_matvec_skips_only_zero_columns(
+    radius, offset, d, n, m, duplicates, boundary, block, seed
+):
     rng = np.random.default_rng(seed)
     k = WendlandC2(radius)
-    C = rng.uniform(-3.0, 3.0, size=(m, d))
+    C = offset + rng.uniform(-3.0, 3.0, size=(m, d))
     C = np.concatenate([C, C[rng.integers(m, size=duplicates)]])
-    X = rng.uniform(-3.0, 3.0, size=(n, d))
+    X = offset + rng.uniform(-3.0, 3.0, size=(n, d))
     near = [_at_radius(rng, C, radius, int(rng.integers(-4, 5)), d) for _ in range(boundary)]
     far = C[C[:, 0].argmax()] + 2.0 * radius * np.eye(d)[0]  # every centre at distance >= 2R
     X = np.concatenate([X, *([np.array(near)] if near else []), far[None, :]])
@@ -192,6 +235,9 @@ def test_wendland_matvec_skips_only_zero_columns(radius, d, n, m, duplicates, bo
     try:
         fa = kernels_mod.kernel_matvec(k, X, C, a)
         permuted = kernels_mod.kernel_matvec(k, X[perm], C, a)
+        # one unit coefficient makes each sum exact: a skipped column with a
+        # nonzero value, however small, would read 0 instead of K[:, j]
+        columns = [kernels_mod.kernel_matvec(k, X, C, e) for e in np.eye(len(C))]
     finally:
         kernels_mod._BLOCK_ENTRIES = saved
     assert np.all(np.abs(fa - K @ a) <= 1e-12 * (np.abs(K) @ np.abs(a)))
@@ -199,6 +245,43 @@ def test_wendland_matvec_skips_only_zero_columns(radius, d, n, m, duplicates, bo
     assert outside.sum() >= 1
     assert np.all(fa[outside] == 0.0)
     assert np.array_equal(permuted, fa[perm])
+    assert np.array_equal(np.column_stack(columns), K)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    radius=st.sampled_from([0.1, 0.3, 1.0 / 3.0]),
+    d=st.sampled_from([1, 3]),
+    n=st.integers(1, 20),
+    m=st.integers(1, 30),
+    block=st.sampled_from([1, 7, 64, 2**16]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_wendland_scaled_path_is_one_arithmetic(radius, d, n, m, block, seed):
+    # radii whose reciprocal is inexact, on offset coordinates 1e3 + u whose
+    # scaled differences carry the rounding of the division
+    rng = np.random.default_rng(seed)
+    k = WendlandC2(radius)
+    X = 1e3 + rng.uniform(0.0, 1.0, size=(n, d))
+    C = 1e3 + rng.uniform(0.0, 1.0, size=(m, d))
+    a = rng.normal(size=m)
+    saved = kernels_mod._BLOCK_ENTRIES
+    kernels_mod._BLOCK_ENTRIES = block
+    try:
+        K = kernels_mod.pairwise(k, X, C)
+        KT = kernels_mod.pairwise(k, C, X)
+        G = gram_matrix(k, X)
+        GX = kernels_mod.pairwise(k, X, X.copy())
+        fa = kernels_mod.kernel_matvec(k, X, C, a)
+    finally:
+        kernels_mod._BLOCK_ENTRIES = saved
+    assert np.array_equal(K, KT.T)
+    assert np.array_equal(G, G.T)
+    assert np.array_equal(G, GX)
+    assert np.array_equal(K, _sqdist_formula(k, X, C))
+    assert all(G[i, j] == eval_kernel(k, X[i], X[j]) for i in range(n) for j in range(n))
+    assert all(K[i, j] == eval_kernel(k, X[i], C[j]) for i in range(n) for j in range(m))
+    np.testing.assert_allclose(fa, K @ a, rtol=0, atol=1e-12 * (np.abs(K) @ np.abs(a)).max())
 
 
 def test_kernel_matvec_checks_coefficient_shape():
@@ -335,7 +418,7 @@ def test_mmd_memory_is_bounded_by_the_block():
     finally:
         tracemalloc.stop()
     assert 0.0 <= value < 1e-2
-    assert peak < 6 * 2**20  # one set of three 2**18-double block buffers
+    assert peak < 2 * 2**20  # one set of three 2**16-double block buffers is 1.5 MiB
     assert mmd_squared(GaussianRBF(), p, EmpiricalMeasure(p.atoms.copy(), p.weights.copy())) == 0.0
 
 

@@ -88,7 +88,7 @@ def test_evaluation_memory_is_bounded_by_the_block(kernel):
     finally:
         tracemalloc.stop()
     assert values.shape == (20000,)
-    assert peak < 6 * 2**20  # one set of three 2**18-double block buffers
+    assert peak < 2 * 2**20  # one set of three 2**16-double block buffers is 1.5 MiB
 
 
 def test_rkhs_norm_frozen_values():
