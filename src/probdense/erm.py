@@ -3,16 +3,16 @@
 Solvers return representer expansions over the training inputs: a direct
 kernel ridge solve, an exact active-set solve of the dual box QP for the
 pinball and absolute losses (Takeuchi, Le, Sears & Smola, JMLR 7, 2006;
-Moré & Toraldo, SIAM J. Optim. 1, 1991), and a direct solve for the
-pairwise ranking objective, an exact quadratic: one exact solver per loss.
+Moré & Toraldo, SIAM J. Optim. 1, 1991), and the ridge solve with a free
+intercept for the pairwise ranking objective: one exact solver per loss.
 Clipping and the empirical risk functional round out the toolkit.
 
-A ridge fit with more than 512 points is solved through a greedy pivoted
-Cholesky factor K ~ L L' (Harbrecht, Peters & Schneider, Appl. Numer.
-Math. 62, 2012) and the Woodbury identity (Fine & Scheinberg, JMLR 2,
-2001), so it never forms the n x n Gram matrix; when the numerical rank
-is not small, and for compactly supported kernels, it falls back to the
-dense solve.  A low-rank fit also yields its projection
+A ridge or ranking fit with more than 512 points is solved through a
+greedy pivoted Cholesky factor K ~ L L' (Harbrecht, Peters & Schneider,
+Appl. Numer. Math. 62, 2012) and the Woodbury identity (Fine & Scheinberg,
+JMLR 2, 2001), so it never forms the n x n Gram matrix; when the numerical
+rank is not small, and for compactly supported kernels, it falls back to
+the dense solve.  A low-rank ridge fit also yields its projection
 onto the r pivot sections k(., x_p), an expansion over r centres with a
 certified sup-norm distance to the full one; greedy pivoting is the
 P-greedy point selection of De Marchi, Schaback & Wendland (Adv. Comput.
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from .kernels import WendlandC2, _kernel_diag, gram_matrix, pairwise
+from .kernels import WendlandC2, _kernel_diag, gram_matrix, kernel_matvec, pairwise
 from .rkhs import RkhsFunction
 from .util import NumericalError, as_points
 
@@ -48,13 +48,13 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# Ridge solves with at most _DENSE_MAX points factor the dense system, which
+# Ridge and ranking solves with at most _DENSE_MAX points factor K, which
 # is cheap at that size; the cutoff does not follow kernels._BLOCK_ENTRIES,
 # so a change of the evaluation block size moves no fit to another path.
 _DENSE_MAX = 512
 
-# Low-rank ridge solves: the pivoted Cholesky stops once the residual at its
-# next pivot is at most max(_PIVOT_TOL * n * lam, _PIVOT_FLOOR * max k(x, x)),
+# Low-rank solves of K + shift * I: the pivoted Cholesky stops once the residual
+# at its next pivot is at most max(_PIVOT_TOL * shift, _PIVOT_FLOOR * max k(x, x)),
 # and gives up (dense solve) when that takes more than min(n // 8, _MAX_RANK)
 # pivots.  The floor keeps every pivot above the rounding of the residual
 # diagonals, a few units of roundoff of the largest diagonal.
@@ -280,7 +280,33 @@ def _woodbury_solve(Lt: np.ndarray, shift: float, b: np.ndarray) -> np.ndarray |
     except np.linalg.LinAlgError:
         return None
     z = cho_solve(factor, Lt @ b, check_finite=False)
-    return (b - z @ Lt) / shift
+    return (b - Lt.T @ z) / shift
+
+
+def _shifted_solve(kernel, X: np.ndarray, b: np.ndarray, shift: float, lam: float):
+    """Solve (K + shift * I) Z = b, b of shape (n,) or (n, k), on fit_kernel_ridge's paths.
+
+    Returns (Z, factor): the low-rank path's pivoted Cholesky (Lt, pivots, d), or None.
+    """
+    n = X.shape[0]
+    if n <= _DENSE_MAX:
+        log.info("dense solve: %d points, at most %d", n, _DENSE_MAX)
+    elif isinstance(kernel, WendlandC2):
+        # a compactly supported kernel's Gram matrix is not low-rank
+        log.info("dense solve: compactly supported kernel")
+    else:
+        cap = min(n // 8, _MAX_RANK)
+        factor = _pivoted_cholesky(kernel, X, _PIVOT_TOL * shift, cap)
+        if factor is None:
+            log.info("dense solve: rank cap %d reached", cap)
+        else:
+            Z = _woodbury_solve(factor[0], shift, b)
+            if Z is not None:
+                log.info("low-rank solve: rank %d of %d", factor[0].shape[0], n)
+                return Z, factor
+            log.info("dense solve: rank-%d factor failed", factor[0].shape[0])
+            del factor
+    return _jittered_cholesky_solve(gram_matrix(kernel, X), shift, b, lam), None
 
 
 def _ridge_solve(data: Dataset, kernel, lam: float):
@@ -296,34 +322,16 @@ def _ridge_solve(data: Dataset, kernel, lam: float):
     and bound are None.
     """
     _check_lam(lam)
-    n = data.n
-    shift = n * lam
-    if n <= _DENSE_MAX:
-        log.info("dense solve: %d points, at most %d", n, _DENSE_MAX)
-    elif isinstance(kernel, WendlandC2):
-        # a compactly supported kernel's Gram matrix is not low-rank
-        log.info("dense solve: compactly supported kernel")
-    else:
-        cap = min(n // 8, _MAX_RANK)
-        factor = _pivoted_cholesky(kernel, data.inputs, _PIVOT_TOL * shift, cap)
-        if factor is None:
-            log.info("dense solve: rank cap %d reached", cap)
-        else:
-            Lt, pivots, d = factor
-            alpha = _woodbury_solve(Lt, shift, data.outputs)
-            if alpha is not None:
-                log.info("low-rank solve: rank %d of %d", Lt.shape[0], n)
-                X = data.inputs
-                f = _expansion(kernel, X, alpha, lam)
-                beta = solve_triangular(Lt[:, pivots], Lt @ alpha, lower=False, check_finite=False)
-                kmax = float(_kernel_diag(kernel, 1)[0])
-                bound = float(np.sqrt(kmax * d.clip(min=0.0).sum()) * np.linalg.norm(alpha))
-                return f, _expansion(kernel, X[pivots], beta, lam), bound
-            log.info("dense solve: rank-%d factor failed", Lt.shape[0])
-            del factor, Lt
-    A = gram_matrix(kernel, data.inputs)
-    alpha = _jittered_cholesky_solve(A, shift, data.outputs, lam)
-    return _expansion(kernel, data.inputs, alpha, lam), None, None
+    X = data.inputs
+    alpha, factor = _shifted_solve(kernel, X, data.outputs, data.n * lam, lam)
+    f = _expansion(kernel, X, alpha, lam)
+    if factor is None:
+        return f, None, None
+    Lt, pivots, d = factor
+    beta = solve_triangular(Lt[:, pivots], Lt @ alpha, lower=False, check_finite=False)
+    kmax = float(_kernel_diag(kernel, 1)[0])
+    bound = float(np.sqrt(kmax * d.clip(min=0.0).sum()) * np.linalg.norm(alpha))
+    return f, _expansion(kernel, X[pivots], beta, lam), bound
 
 
 def fit_kernel_ridge(data: Dataset, kernel, lam: float) -> RkhsFunction:
@@ -507,50 +515,41 @@ def fit_quantile(data: Dataset, kernel, loss, lam: float) -> tuple[RkhsFunction,
     return f, info
 
 
-def _centre(v: np.ndarray) -> np.ndarray:
-    """P v for the centring matrix P; shifting by v[0] first centres constant v to exact zeros."""
-    c = v - v[0]
-    c -= c.mean()
-    return c
-
-
 def fit_pairwise(
     data: Dataset, kernel, loss: RankingSquaredLoss, lam: float
 ) -> tuple[RkhsFunction, FitInfo]:
     """Exact minimiser of the mean pairwise ranking objective, with its FitInfo.
 
     (1/n^2) sum_ij ((y_i - y_j) - (f(x_i) - f(x_j)))^2 + lam * ||f||_H^2
-    equals (2/n) ||P (y - K alpha)||^2 + lam * alpha' K alpha, P = I - 11'/n,
-    a quadratic minimised by (P K P + (n lam / 2) I) alpha = P y.  That
-    system is positive definite and is solved on the ridge solver's jittered
-    Cholesky path; its solution sums to zero, so it also solves
-    ((2/n) P K + lam I) alpha = (2/n) P y.  FitInfo reports n_iters = 0,
-    converged = True and the gradient norm at the solution.
+    equals (2/n) ||P (y - K alpha)||^2 + lam * alpha' K alpha, P = I - 11'/n:
+    as ||P v||^2 = min_b ||v - b 1||^2, the ridge objective at lam / 2 with a
+    free intercept b, minimised where (K + (n lam / 2) I) alpha + b 1 = y and
+    1' alpha = 0.  So the ridge solve of (K + (n lam / 2) I) Z = [y - y_0 1, 1]
+    gives b = 1' Z_0 / 1' Z_1 and alpha = Z_0 - b Z_1 (RankRLS; Pahikkala et
+    al., Machine Learning 75, 2009); the shift by y_0 makes constant outputs
+    exact zeros.  FitInfo reports n_iters = 0, converged = True and the
+    gradient norm, computed from alpha by kernel_matvec.
     """
     _check_lam(lam)
     if not isinstance(loss, RankingSquaredLoss):
         raise TypeError("fit_pairwise requires RankingSquaredLoss")
     if data.n < 2:
         raise ValueError("pairwise fitting needs at least 2 observations")
-    K = gram_matrix(kernel, data.inputs)
-    n = data.n
-    # P K P = K - m 1' - 1 m' + mean(m) for symmetric K with row means m; its
-    # two triangles round differently and the in-place solve needs exact
-    # symmetry, so the lower triangle is copied onto the upper one
-    m = K.mean(axis=1)
-    A = K - m[:, None]
-    A -= m
-    A += m.mean()
-    _mirror_lower(A)
-    yc = _centre(data.outputs)
-    alpha = _jittered_cholesky_solve(A, 0.5 * n * lam, yc, lam)
-    del A
-    f = _expansion(kernel, data.inputs, alpha, lam)
-    fvals = K @ alpha
-    pr = yc - _centre(fvals)
+    X, n = data.inputs, data.n
+    with np.errstate(over="ignore"):
+        yc = data.outputs - data.outputs[0]
+    if not np.all(np.isfinite(yc)):  # the outputs' spread overflows
+        raise NumericalError(f"solve gave non-finite coefficients (n={n}, lam={lam!r})")
+    Z, _ = _shifted_solve(kernel, X, np.column_stack((yc, np.ones(n))), 0.5 * n * lam, lam)
+    b = Z[:, 0].sum() / Z[:, 1].sum()
+    alpha = Z[:, 0] - b * Z[:, 1]
+    f = _expansion(kernel, X, alpha, lam)
+    fvals = kernel_matvec(kernel, X, X, alpha)
+    pr = yc - fvals
+    pr -= pr.mean()
     objective = float((2.0 / n) * (pr @ pr) + lam * (alpha @ fvals))
-    grad_norm = float(np.linalg.norm(K @ (2.0 * lam * alpha - (4.0 / n) * pr)))
-    info = FitInfo(objective, float((2.0 / n) * (yc @ yc)), 0, grad_norm, True)
+    grad_norm = float(np.linalg.norm(kernel_matvec(kernel, X, X, 2.0 * lam * alpha - (4.0 / n) * pr)))
+    info = FitInfo(objective, float(2.0 * np.var(yc)), 0, grad_norm, True)
     return f, info
 
 

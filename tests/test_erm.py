@@ -1,5 +1,6 @@
 """Tests for the regularized ERM solvers, clipping, and risk machinery."""
 
+import contextlib
 import logging
 import tracemalloc
 
@@ -88,21 +89,38 @@ def test_fit_config_validation():
                 solve(lam)
 
 
+def _overflow_ignored():
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 @pytest.mark.parametrize(
-    "solve,lam",
+    "solve,lam,context",
     [
-        (lambda data, k, lam: fit_kernel_ridge(data, k, lam), 1e-12),
-        (lambda data, k, lam: fit_pairwise(data, k, RankingSquaredLoss(), lam), 1e-12),
+        pytest.param(
+            lambda data, k, lam: fit_kernel_ridge(data, k, lam), 1e-12, _overflow_ignored, id="ridge"
+        ),
+        # the outputs' spread overflows; that is caught before any arithmetic warns
+        pytest.param(
+            lambda data, k, lam: fit_pairwise(data, k, RankingSquaredLoss(), lam),
+            1e-12,
+            contextlib.nullcontext,
+            marks=pytest.mark.filterwarnings("error"),
+            id="pairwise",
+        ),
         # the dual's alpha = u / (2 lam n) overflows only at a subnormal lam
-        (lambda data, k, lam: fit_quantile(data, k, PinballLoss(0.5), lam), 1e-320),
+        pytest.param(
+            lambda data, k, lam: fit_quantile(data, k, PinballLoss(0.5), lam),
+            1e-320,
+            _overflow_ignored,
+            id="quantile",
+        ),
     ],
-    ids=["ridge", "pairwise", "quantile"],
 )
-def test_non_finite_coefficients_are_a_numerical_error(solve, lam):
+def test_non_finite_coefficients_are_a_numerical_error(solve, lam, context):
     # outputs near the float limit overflow the solve; this is a numerical
     # failure that names n and lam, not an invalid RkhsFunction
     data = Dataset(np.array([[0.0], [0.001]]), np.array([1e308, -1e308]))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with context():
         with pytest.raises(NumericalError, match=rf"non-finite coefficients \(n=2, lam={lam!r}\)"):
             solve(data, GaussianRBF(1.0), lam)
 
@@ -187,15 +205,12 @@ def _ridge_reference(data, kernel, lam, factorize=cho_factor):
 
 
 def _pairwise_reference(data, kernel, lam, factorize=cho_factor):
-    """fit_pairwise's coefficients: the centred system on the same inline jitter loop."""
+    """fit_pairwise's coefficients: K + (n lam / 2) I on the same inline jitter loop, two right-hand sides."""
     K = gram_matrix(kernel, data.inputs)
-    m = K.mean(axis=1)
-    A = K - m[:, None]
-    A -= m
-    A += m.mean()
-    yc = data.outputs - data.outputs[0]
-    yc -= yc.mean()
-    return _jitter_reference(A, 0.5 * data.n * lam, yc, factorize)
+    y = data.outputs
+    Z = _jitter_reference(K, 0.5 * data.n * lam, np.column_stack((y - y[0], np.ones(data.n))), factorize)
+    b = Z[:, 0].sum() / Z[:, 1].sum()
+    return Z[:, 0] - b * Z[:, 1]
 
 
 def _jitter_reference(A, shift, b, factorize):
@@ -310,11 +325,11 @@ def test_in_place_factorization_is_bitwise_unchanged(monkeypatch):
         assert np.array_equal(f.coefficients, reference(data, kernel, 1e-3, fail_once))
 
 
-def _peak_fit_memory(data, kernel, lam):
-    """Peak traced allocation of one fit_kernel_ridge call, in bytes."""
+def _peak_fit_memory(data, kernel, lam, fit=fit_kernel_ridge):
+    """Peak traced allocation of one fit(data, kernel, lam) call, in bytes."""
     tracemalloc.start()
     try:
-        fit_kernel_ridge(data, kernel, lam)
+        fit(data, kernel, lam)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -646,6 +661,66 @@ def test_fit_quantile_holds_one_n_by_n_array():
     assert info.converged
     # K alone is 32 MiB, its block buffers 1.5 MiB; a copy of K would add 32 MiB
     assert peak < 40 * 2**20
+
+
+def _fit_ranking(data, kernel, lam):
+    return fit_pairwise(data, kernel, RankingSquaredLoss(), lam)
+
+
+def test_ranking_fit_factors_k_itself_in_place():
+    rng = np.random.default_rng(61)
+    n = 2048
+    data = Dataset(rng.uniform(0, 1, (n, 1)), rng.normal(size=n))
+    # the dense path; K alone is 32 MiB, a centred copy of it would add 32 MiB
+    assert _peak_fit_memory(data, WendlandC2(0.1), 1e-3, _fit_ranking) < 40 * 2**20
+
+
+def test_large_gaussian_ranking_fit_never_forms_the_gram_matrix():
+    rng = np.random.default_rng(61)
+    n = 2048
+    data = Dataset(rng.uniform(0, 1, (n, 1)), rng.normal(size=n))
+    # the low-rank path: the pivot rows at the rank cap take 4 MiB, K would take 32 MiB
+    assert _peak_fit_memory(data, GaussianRBF(n ** (-1 / 3)), 1.0 / n, _fit_ranking) < 8 * 2**20
+
+
+def test_ranking_fit_logs_the_ridge_solve_path(caplog):
+    caplog.set_level(logging.INFO, logger="probdense.erm")
+    rng = np.random.default_rng(71)
+    data = Dataset(rng.uniform(0, 1, (512, 1)), rng.normal(size=512))
+    _, messages = _solve_messages(caplog, lambda: _fit_ranking(data, GaussianRBF(0.1), 1e-3))
+    assert messages == ["dense solve: 512 points, at most 512"]
+
+
+def _centred(v):
+    return v - v.mean()
+
+
+@pytest.mark.parametrize("n", [1024, 2048])
+def test_low_rank_ranking_fit_is_the_exact_minimiser(caplog, n):
+    caplog.set_level(logging.INFO, logger="probdense.erm")
+    rng = np.random.default_rng(89)
+    X = rng.uniform(0, 1, (n, 1))
+    y = np.sin(6.0 * X[:, 0]) + 0.3 * rng.normal(size=n)
+    kernel, lam = GaussianRBF(n ** (-1 / 3)), 1.0 / n
+    (f, info), [message] = _solve_messages(caplog, lambda: _fit_ranking(Dataset(X, y), kernel, lam))
+    assert message.startswith("low-rank solve: rank ") and message.endswith(f" of {n}")
+    a = f.coefficients
+    K = gram_matrix(kernel, X)
+    # ((2/n) P K + lam I) alpha = (2/n) P y is (2/n) P times the ridge system at
+    # shift n lam / 2 with the intercept, so the ridge residual bound carries over
+    stationarity = (2.0 / n) * _centred(K @ a) + lam * a - (2.0 / n) * _centred(y)
+    bound = (2.0 / n) * _ridge_residual_bound(n, 0.5 * n * lam) * np.linalg.norm(y)
+    assert np.linalg.norm(stationarity) <= bound
+    assert abs(a.sum()) <= 16 * np.finfo(float).eps * np.abs(a).sum()
+
+    def objective(c):
+        return float((2.0 / n) * np.sum(_centred(y - K @ c) ** 2) + lam * (c @ (K @ c)))
+
+    # the optimum as perfbench/checks.py computes it, on the full system
+    P = np.eye(n) - 1.0 / n
+    optimum = objective(np.linalg.solve((2.0 / n) * P @ K + lam * np.eye(n), (2.0 / n) * P @ y))
+    assert objective(a) == pytest.approx(optimum, rel=1e-12)
+    assert info.objective == pytest.approx(optimum, rel=1e-12)
 
 
 def test_pairwise_equal_outputs_stay_at_zero():
