@@ -20,11 +20,10 @@ import time
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import log1p, log_ndtr, logsumexp, ndtr, ndtri_exp
 
 from .erm import Dataset, _ridge_solve
 from .kernels import _KERNEL_FAMILIES
-from .metrics import _PSI_KINDS, CappedPsi, ky_fan_metric, paired_sample, psi_metric
+from .metrics import _PSI_KINDS, CappedPsi, PairedSample, ky_fan_metric, psi_metric
 from .util import NumericalError, as_points, derive_rng
 
 __all__ = [
@@ -213,6 +212,9 @@ def truncated_gaussian_sampler(domain, center: float | None = None, scale: float
 
     Defaults: center at the midpoint, scale a quarter of the interval width.
     """
+    # imported here, so that a study with another sampler never loads scipy.special
+    from scipy.special import log1p, log_ndtr, logsumexp, ndtr, ndtri_exp
+
     low, high, c, s = _gaussian_params(domain, center, scale)
     a, b = (low - c) / s, (high - c) / s
     # Inverse-CDF draws on the arithmetic of scipy.stats.truncnorm.rvs, so they
@@ -408,16 +410,42 @@ def sup_gap_estimate(target, g, grid_resolution: int) -> float:
     return float(np.abs(fv - gv).max())
 
 
+def _study_cell(cfg: StudyConfig, sampler, n: int, rep: int, kernel, lam: float) -> StudyCell:
+    """Fit and measure one cell; NumericalError when a value it measures is not finite."""
+    target = cfg.target
+    fitted = fit_approximant(target, n, kernel, lam, sampler, derive_rng(cfg.seed, n, rep, "train"))
+    Xe = sampler(derive_rng(cfg.seed, n, rep, "eval"), cfg.eval_sample_size)
+    m = Xe.shape[0]
+    distances = np.abs(target(Xe) - fitted(Xe))
+    if not np.all(np.isfinite(distances)):
+        raise NumericalError(f"fitted values or distances are not finite (n={n}, lam={lam!r})")
+    ps = PairedSample(distances, np.full(m, 1.0 / m))
+    l1_gap = float(np.mean(distances))
+    metrics = {
+        "d_psi": psi_metric(cfg.psi, ps),
+        "ky_fan": ky_fan_metric(ps),
+        "sup_gap": sup_gap_estimate(target, fitted, cfg.grid_resolution),
+        "l1_gap": l1_gap,
+        # |R(fitted) - R(target)| under the absolute loss with noise-free
+        # labels is |l1_gap - 0|, bitwise l1_gap (ROADMAP item 7)
+        "risk_gap": l1_gap,
+    }
+    for name, value in metrics.items():
+        if not np.isfinite(value):
+            raise NumericalError(f"{name} is not finite (n={n}, lam={lam!r})")
+    return StudyCell(n=n, replicate=rep, **metrics)
+
+
 def run_study(cfg: StudyConfig) -> ConvergenceReport:
     """Run the full denseness study described by cfg.
 
     For each sample size and replicate: fit an approximant on a fresh
     training draw, then measure all gaps on an independent fresh evaluation
-    draw from the same input distribution.  A numerical failure in one cell
-    is recorded on that cell and the run continues.  Deterministic given
-    cfg.seed.
+    draw from the same input distribution.  A numerical failure in one cell,
+    a fitted value, distance or metric that overflows to inf or nan among
+    them, is recorded on that cell and the run continues.  Deterministic
+    given cfg.seed.
     """
-    target = cfg.target
     sampler = cfg.build_sampler()
     cells = []
     for n in cfg.sample_sizes:
@@ -426,24 +454,9 @@ def run_study(cfg: StudyConfig) -> ConvergenceReport:
         for rep in range(cfg.replicates):
             t0 = time.perf_counter()
             try:
-                fitted = fit_approximant(
-                    target, n, kernel, lam, sampler, derive_rng(cfg.seed, n, rep, "train")
-                )
-                eval_rng = derive_rng(cfg.seed, n, rep, "eval")
-                Xe = sampler(eval_rng, cfg.eval_sample_size)
-                ps = paired_sample(target, fitted, Xe)
-                l1_gap = float(np.mean(ps.distances))
-                cell = StudyCell(
-                    n=n,
-                    replicate=rep,
-                    d_psi=psi_metric(cfg.psi, ps),
-                    ky_fan=ky_fan_metric(ps),
-                    sup_gap=sup_gap_estimate(target, fitted, cfg.grid_resolution),
-                    l1_gap=l1_gap,
-                    # |R(fitted) - R(target)| under the absolute loss with
-                    # noise-free labels is |l1_gap - 0|, bitwise l1_gap (ROADMAP item 3)
-                    risk_gap=l1_gap,
-                )
+                # an overflow shows as a non-finite value, which fails the cell
+                with np.errstate(over="ignore", invalid="ignore"):
+                    cell = _study_cell(cfg, sampler, n, rep, kernel, lam)
             except (NumericalError, np.linalg.LinAlgError) as exc:
                 log.warning("cell (n=%d, replicate=%d) failed: %s", n, rep, exc)
                 nans = dict.fromkeys(_METRICS, float("nan"))

@@ -163,6 +163,20 @@ def _check_lam(lam: float) -> None:
         raise ValueError(f"lam must be positive, got {lam!r}")
 
 
+def _check_spread(y: np.ndarray, lam: float) -> None:
+    """NumericalError when the outputs' spread max y - min y overflows, before anything warns."""
+    with np.errstate(over="ignore"):
+        spread = np.ptp(y)
+    if not np.isfinite(spread):
+        raise NumericalError(f"solve gave non-finite coefficients (n={y.size}, lam={lam!r})")
+
+
+def _check_objective(objective: float, n: int, lam: float) -> None:
+    """NumericalError when a fit's objective, computed under np.errstate, overflowed."""
+    if not np.isfinite(objective):
+        raise NumericalError(f"fit gave a non-finite objective (n={n}, lam={lam!r})")
+
+
 def _expansion(kernel, X: np.ndarray, coefficients: np.ndarray, lam: float) -> RkhsFunction:
     """The solved expansion, or NumericalError when the solve overflowed to inf or nan."""
     if not np.all(np.isfinite(coefficients)):
@@ -188,29 +202,24 @@ class FitInfo:
     duality_gap: float | None = None
 
 
-def _mirror_lower(A: np.ndarray) -> None:
-    """Copy A's strict lower triangle onto its strict upper one, a row at a time."""
-    for i in range(A.shape[0] - 1):
-        A[i, i + 1 :] = A[i + 1 :, i]
+def _dense_solve(kernel, X: np.ndarray, shift: float, b: np.ndarray, lam: float) -> np.ndarray:
+    """Solve (K + shift * I) x = b by Cholesky, building K and factoring it in place.
 
-
-def _jittered_cholesky_solve(A: np.ndarray, shift: float, b: np.ndarray, lam: float) -> np.ndarray:
-    """Solve (A + shift * I) x = b by Cholesky for exactly symmetric A, overwriting A.
-
-    A is shifted and factored in place: LAPACK gets the F-contiguous view A.T,
-    the same matrix since A is symmetric, so no n x n copy is made.  After a
-    failed factorization, rebuild the triangle LAPACK overwrote from the
-    untouched one and the diagonal from a saved copy, add 1e-12 * trace(A) / n
-    to the diagonal and retry with 10x the jitter, at most three times, then
-    raise NumericalError.  Each escalation is logged as a WARNING.
+    LAPACK gets the F-contiguous view K.T, the same matrix since K is
+    exactly symmetric, so no n x n copy is made.  After a failed
+    factorization, build K again (bitwise the same matrix), add
+    1e-12 * trace(K) / n to the diagonal and retry with 10x the jitter, at
+    most three times, then raise NumericalError.  Each escalation is logged
+    as a WARNING.
     """
+    A = gram_matrix(kernel, X)
     n = A.shape[0]
     jitter = 1e-12 * float(np.trace(A)) / n
     diag = np.diag_indices(n)
-    A[diag] += shift
-    d = A.diagonal().copy()
+    d = A.diagonal() + shift
     attempt = 0
     while True:
+        A[diag] = d
         try:
             factor = cho_factor(A.T, lower=True, overwrite_a=True, check_finite=False)
             break
@@ -227,10 +236,12 @@ def _jittered_cholesky_solve(A: np.ndarray, shift: float, b: np.ndarray, lam: fl
                 n,
                 lam,
             )
-            _mirror_lower(A)
-            d += jitter
-            A[diag] = d
-            jitter *= 10.0
+        d += jitter
+        jitter *= 10.0
+        # past the except block the failed call's traceback no longer holds
+        # the overwritten K, so releasing it here frees its n x n array
+        del A
+        A = gram_matrix(kernel, X)
     return cho_solve(factor, b, check_finite=False)
 
 
@@ -306,7 +317,7 @@ def _shifted_solve(kernel, X: np.ndarray, b: np.ndarray, shift: float, lam: floa
                 return Z, factor
             log.info("dense solve: rank-%d factor failed", factor[0].shape[0])
             del factor
-    return _jittered_cholesky_solve(gram_matrix(kernel, X), shift, b, lam), None
+    return _dense_solve(kernel, X, shift, b, lam), None
 
 
 def _ridge_solve(data: Dataset, kernel, lam: float):
@@ -475,7 +486,8 @@ def fit_quantile(data: Dataset, kernel, loss, lam: float) -> tuple[RkhsFunction,
     (1/n) sum (L(r_i) - u_i r_i) / objective, each term nonnegative, so
     it carries no cancellation.  K is the only n x n array; the result is
     deterministic.  One INFO record from probdense.erm gives the step
-    count, the free points and the gap.
+    count, the free points and the gap.  Outputs whose spread max y - min y
+    overflows, and an objective that overflows, raise NumericalError.
     """
     _check_lam(lam)
     if isinstance(loss, AbsoluteLoss):
@@ -484,19 +496,22 @@ def fit_quantile(data: Dataset, kernel, loss, lam: float) -> tuple[RkhsFunction,
         tau, pinball_lam, weight = loss.tau, lam, 1.0
     else:
         raise TypeError("fit_quantile requires PinballLoss or AbsoluteLoss")
-    K = gram_matrix(kernel, data.inputs)
     y, n = data.outputs, data.n
+    _check_spread(y, lam)
+    K = gram_matrix(kernel, data.inputs)
     scale = 2.0 * pinball_lam * n
     rounding = 16.0 * np.finfo(float).eps * float(K.diagonal().max()) / (2.0 * pinball_lam)
     tol = _KKT_TOL * max(1.0, float(np.abs(y).max())) + rounding
     u, steps = _dual_active_set(K, y, tau, scale, tol)
     alpha = u / scale
     f = _expansion(kernel, data.inputs, alpha, lam)
-    fvals = K @ alpha
+    with np.errstate(over="ignore", invalid="ignore"):
+        fvals = K @ alpha
+        objective = float(np.mean(loss.values(y, fvals)) + lam * (alpha @ fvals))
+    _check_objective(objective, n, lam)
     r = y - fvals
     lo, hi = tau - 1.0, tau
     kkt = np.where(u == hi, -r, np.where(u == lo, r, np.abs(r))).clip(min=0.0)
-    objective = float(np.mean(loss.values(y, fvals)) + lam * (alpha @ fvals))
     gap = weight * float(np.mean(np.where(r >= 0.0, (tau - u) * r, (tau - 1.0 - u) * r)))
     gap = gap / objective if objective > 0.0 else 0.0
     converged = bool(kkt.max() <= tol)
@@ -528,7 +543,9 @@ def fit_pairwise(
     gives b = 1' Z_0 / 1' Z_1 and alpha = Z_0 - b Z_1 (RankRLS; Pahikkala et
     al., Machine Learning 75, 2009); the shift by y_0 makes constant outputs
     exact zeros.  FitInfo reports n_iters = 0, converged = True and the
-    gradient norm, computed from alpha by kernel_matvec.
+    gradient norm, computed from alpha by kernel_matvec.  Outputs whose
+    spread max y - min y overflows, and an objective that overflows, raise
+    NumericalError.
     """
     _check_lam(lam)
     if not isinstance(loss, RankingSquaredLoss):
@@ -536,19 +553,19 @@ def fit_pairwise(
     if data.n < 2:
         raise ValueError("pairwise fitting needs at least 2 observations")
     X, n = data.inputs, data.n
-    with np.errstate(over="ignore"):
-        yc = data.outputs - data.outputs[0]
-    if not np.all(np.isfinite(yc)):  # the outputs' spread overflows
-        raise NumericalError(f"solve gave non-finite coefficients (n={n}, lam={lam!r})")
+    _check_spread(data.outputs, lam)
+    yc = data.outputs - data.outputs[0]
     Z, _ = _shifted_solve(kernel, X, np.column_stack((yc, np.ones(n))), 0.5 * n * lam, lam)
     b = Z[:, 0].sum() / Z[:, 1].sum()
     alpha = Z[:, 0] - b * Z[:, 1]
     f = _expansion(kernel, X, alpha, lam)
-    fvals = kernel_matvec(kernel, X, X, alpha)
-    pr = yc - fvals
-    pr -= pr.mean()
-    objective = float((2.0 / n) * (pr @ pr) + lam * (alpha @ fvals))
-    grad_norm = float(np.linalg.norm(kernel_matvec(kernel, X, X, 2.0 * lam * alpha - (4.0 / n) * pr)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        fvals = kernel_matvec(kernel, X, X, alpha)
+        pr = yc - fvals
+        pr -= pr.mean()
+        objective = float((2.0 / n) * (pr @ pr) + lam * (alpha @ fvals))
+        grad_norm = float(np.linalg.norm(kernel_matvec(kernel, X, X, 2.0 * lam * alpha - (4.0 / n) * pr)))
+    _check_objective(objective, n, lam)
     info = FitInfo(objective, float(2.0 * np.var(yc)), 0, grad_norm, True)
     return f, info
 

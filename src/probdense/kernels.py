@@ -199,7 +199,9 @@ def _blocks(k, X: np.ndarray, Y: np.ndarray, out=None, consume=None, columns=Non
     the slice of Y that the block of rows start:stop covers (all of Y
     otherwise); the block then holds only those columns.  The row split
     depends on _BLOCK_ENTRIES and the shapes only, and memory is one set of
-    block buffers.
+    block buffers.  Overflow is silenced while a block is built, not in
+    consume: a far point's distance overflows to inf, which the transform
+    maps to exactly 0.
     """
     n, d = X.shape
     m = Y.shape[0]
@@ -217,20 +219,21 @@ def _blocks(k, X: np.ndarray, Y: np.ndarray, out=None, consume=None, columns=Non
         shape = (stop - start, Yb.shape[0])
         entries = shape[0] * shape[1]
         block = scratch[:entries].reshape(shape) if out is None else out[start:stop]
-        if d == 1:
-            np.subtract(X[start:stop], Yb.T, out=block)
-            if k._distances:
-                np.abs(block, out=block)
+        with np.errstate(over="ignore"):
+            if d == 1:
+                np.subtract(X[start:stop], Yb.T, out=block)
+                if k._distances:
+                    np.abs(block, out=block)
+                else:
+                    np.multiply(block, block, out=block)
             else:
-                np.multiply(block, block, out=block)
-        else:
-            t = diff[: entries * d].reshape(shape + (d,))
-            np.subtract(X[start:stop, None, :], Yb[None, :, :], out=t)
-            np.multiply(t, t, out=t)
-            np.sum(t, axis=-1, out=block)
-            if k._distances:
-                np.sqrt(block, out=block)
-        k._transform(block, work[:entries].reshape(shape))
+                t = diff[: entries * d].reshape(shape + (d,))
+                np.subtract(X[start:stop, None, :], Yb[None, :, :], out=t)
+                np.multiply(t, t, out=t)
+                np.sum(t, axis=-1, out=block)
+                if k._distances:
+                    np.sqrt(block, out=block)
+            k._transform(block, work[:entries].reshape(shape))
         if consume is not None:
             consume(slice(start, stop), cols, block)
 

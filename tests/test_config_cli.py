@@ -30,6 +30,8 @@ from probdense.config import (
     parse_kernel_eval_config,
     parse_study_config,
 )
+from probdense.denseness import _METRICS
+from probdense.reporting import read_report_csv
 from probdense.util import ConfigError
 
 MINIMAL_STUDY = """\
@@ -414,14 +416,28 @@ def test_cli_study_writes_deterministic_csv(tmp_path, capsys):
 
 
 def test_cli_does_not_import_scipy_stats(tmp_path):
-    cfg = write(tmp_path, TINY_STUDY + "sampler = truncated_gaussian\n")
-    argv = ["study", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]
+    # scipy.special is loaded by the truncated Gaussian sampler only
+    uniform = write(tmp_path, TINY_STUDY, "u.ini")
+    gaussian = write(tmp_path, TINY_STUDY + "sampler = truncated_gaussian\n")
+    data = tmp_path / "d.csv"
+    data.write_text("0.0,1.0\n0.5,2.0\n1.0,0.5\n")
+    fits = [
+        write(tmp_path, FIT_BASE.format(data=data, loss=loss, extra=""), f"{solver}{i}.ini")
+        for i, (loss, solver) in enumerate(FIT_LOSSES)
+    ]
+    out = ["--out", str(tmp_path / "o.csv")]
+    runs = [["study", "--config", str(uniform), *out]] + [["fit", "--config", str(f), *out] for f in fits]
     code = (
         "import sys\n"
         "import probdense.cli\n"
         "assert 'scipy.stats' not in sys.modules, 'imported by probdense.cli'\n"
-        f"assert probdense.cli.main({argv!r}) == 0\n"
+        "assert 'scipy.special' not in sys.modules, 'imported by probdense.cli'\n"
+        f"for argv in {runs!r}:\n"
+        "    assert probdense.cli.main(argv) == 0\n"
+        "    assert 'scipy.special' not in sys.modules, f'imported by {argv}'\n"
+        f"assert probdense.cli.main({['study', '--config', str(gaussian), *out]!r}) == 0\n"
         "assert 'scipy.stats' not in sys.modules, 'imported by the study'\n"
+        "assert 'scipy.special' in sys.modules, 'not imported by the truncated Gaussian sampler'\n"
     )
     src = str(Path(probdense.__file__).resolve().parents[1])
     run = subprocess.run(
@@ -475,6 +491,35 @@ def test_cli_exit_codes(tmp_path, capsys):
     missing = tmp_path / "no" / "such" / "dir" / "o.csv"
     assert run_cli("study", "--config", str(cfg), "--out", str(missing)) == 3
     assert "i/o failure" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "level,sizes,failed",
+    [
+        # the first cell's l1_gap overflows, the second cell's evaluation
+        ("1.7e308", "16 32", {16: "l1_gap is", 32: "fitted values or distances are"}),
+        # the smallest fits ring the most: their l1_gap alone overflows
+        ("1e306", "4 8 16 32 64", {4: "l1_gap is", 8: "l1_gap is"}),
+    ],
+    ids=["level-1.7e308", "level-1e306"],
+)
+def test_cli_study_cells_whose_numbers_overflow_fail_alone(tmp_path, capsys, level, sizes, failed):
+    cfg = write(tmp_path, f"[study]\ntarget = piecewise\npieces = 0.1 0.6 {level}\nsample_sizes = {sizes}\nseed = 1\n")
+    out = tmp_path / "o.csv"
+    assert run_cli("study", "--config", str(cfg), "--out", str(out)) == 0
+    captured = capsys.readouterr()
+    assert captured.out.endswith(", partial)\n")
+    assert "Traceback" not in captured.err and "RuntimeWarning" not in captured.err
+    manifest = (tmp_path / "o.csv.manifest.txt").read_text()
+    assert "partial = true\n" in manifest
+    errors = dict(re.findall(r"^error_cell = n=(\d+) replicate=0: (.*)$", manifest, re.M))
+    assert sorted(map(int, errors)) == sorted(failed)
+    for n, msg in errors.items():
+        assert msg == f"{failed[int(n)]} not finite (n={n}, lam={1.0 / int(n)!r})"
+    for cell in read_report_csv(out):
+        metrics = [getattr(cell, name) for name in _METRICS]
+        assert np.all(np.isnan(metrics)) if cell.n in failed else np.all(np.isfinite(metrics))
 
 
 def test_cli_rejects_bad_sampler_parameters_as_config_error(tmp_path, capsys):

@@ -29,6 +29,7 @@ from probdense import (
 )
 from probdense import erm as erm_mod
 from probdense import kernels as kernels_mod
+from probdense.cli import main
 from probdense.kernels import pairwise
 
 
@@ -123,6 +124,32 @@ def test_non_finite_coefficients_are_a_numerical_error(solve, lam, context):
     with context():
         with pytest.raises(NumericalError, match=rf"non-finite coefficients \(n=2, lam={lam!r}\)"):
             solve(data, GaussianRBF(1.0), lam)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "rows,loss,lam,gamma,message",
+    [
+        # the outputs' spread overflows, caught before the dual's start vertex
+        ("0.0,1e308\n0.001,-1e308\n", "absolute", 1e-12, 1.0, "solve gave non-finite coefficients"),
+        # finite coefficients whose objective overflows
+        ("0.0,4e299\n0.5,-4e299\n", "ranking_squared", 0.5, 0.3, "fit gave a non-finite objective"),
+    ],
+    ids=["absolute", "ranking"],
+)
+def test_cli_fit_never_exits_0_with_a_non_finite_objective(tmp_path, capsys, rows, loss, lam, gamma, message):
+    data = tmp_path / "d.csv"
+    data.write_text(rows)
+    cfg = tmp_path / "fit.ini"
+    cfg.write_text(
+        f"[fit]\ndata = {data}\nloss = {loss}\nlambda = {lam!r}\n"
+        f"[kernel]\nfamily = gaussian_rbf\ngamma = {gamma!r}\n"
+    )
+    assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "f.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"numerical failure: {message} (n=2, lam={lam!r})" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not (tmp_path / "f.csv").exists()
 
 
 def test_ridge_single_point_closed_form():
@@ -407,7 +434,7 @@ def test_ridge_fallback_is_bitwise_dense(monkeypatch, caplog):
     for X, kernel, lam, forced in cases:
         n = X.shape[0]
         y = rng.normal(size=n)
-        dense = erm_mod._jittered_cholesky_solve(gram_matrix(kernel, X), n * lam, y, lam)
+        dense = erm_mod._dense_solve(kernel, X, n * lam, y, lam)
         if forced is not None:
             monkeypatch.setattr(erm_mod, "cho_factor", _counting_cho_factor({"n": 0, "calls": 0}, forced))
         f, [message] = _solve_messages(caplog, lambda: fit_kernel_ridge(Dataset(X, y), kernel, lam))
@@ -673,6 +700,27 @@ def test_ranking_fit_factors_k_itself_in_place():
     data = Dataset(rng.uniform(0, 1, (n, 1)), rng.normal(size=n))
     # the dense path; K alone is 32 MiB, a centred copy of it would add 32 MiB
     assert _peak_fit_memory(data, WendlandC2(0.1), 1e-3, _fit_ranking) < 40 * 2**20
+
+
+@pytest.mark.parametrize("fit", [fit_kernel_ridge, _fit_ranking], ids=["ridge", "ranking"])
+def test_jitter_retry_rebuilds_k_without_a_second_copy(monkeypatch, fit):
+    calls = []
+
+    def factor_then_fail_once(A, **kw):
+        factor = cho_factor(A, **kw)
+        calls.append(A.shape)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("forced after factoring")
+        return factor
+
+    monkeypatch.setattr(erm_mod, "cho_factor", factor_then_fail_once)
+    rng = np.random.default_rng(61)
+    n = 2048
+    data = Dataset(rng.uniform(0, 1, (n, 1)), rng.normal(size=n))
+    # the retry builds K again; built while the overwritten one is still held
+    # (by the failed call's traceback, say), the peak would be 64 MiB
+    assert _peak_fit_memory(data, WendlandC2(0.1), 1e-3, fit) < 40 * 2**20
+    assert calls == [(n, n)] * 2
 
 
 def test_large_gaussian_ranking_fit_never_forms_the_gram_matrix():

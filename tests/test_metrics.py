@@ -1,10 +1,13 @@
 """Tests for the psi transforms, the integrated-psi metric, and the Ky Fan metric."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from probdense import metrics as metrics_mod
 from probdense import (
     CappedPsi,
     PairedSample,
@@ -146,6 +149,56 @@ def test_validate_psi_bad_grid_arguments():
         validate_psi(CappedPsi(), grid_max=0.0)
     with pytest.raises(ValueError):
         validate_psi(CappedPsi(), grid_n=1)
+
+
+def _subadditivity_reference(psi, grid_max, grid_n):
+    """The subadditivity message from the full grid_n x grid_n pair matrix, or None."""
+    grid = np.linspace(0.0, grid_max, grid_n)
+    y = psi.raw(grid)
+    sums = grid[:, None] + grid[None, :]
+    lhs = psi.raw(sums)
+    rhs = y[:, None] + y[None, :]
+    bad = lhs > rhs + 1e-12
+    if not np.any(bad):
+        return None
+    i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    r = lambda v: repr(float(v))
+    return (
+        f"subadditivity fails: psi({r(sums[i, j])}) = {r(lhs[i, j])} "
+        f"> psi({r(grid[i])}) + psi({r(grid[j])}) = {r(rhs[i, j])}"
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    knots=st.lists(st.floats(0.0, 1.5), min_size=1, max_size=6),
+    grid_max=st.floats(0.5, 20.0),
+    grid_n=st.integers(2, 90),
+    block=st.sampled_from([1, 7, 90, 2**16]),
+)
+def test_validate_psi_blocks_report_the_first_violating_pair(knots, grid_max, grid_n, block):
+    psi = TabulatedPsi(tuple(np.arange(len(knots) + 1.0)), (0.0, *knots))
+    expected = _subadditivity_reference(psi, grid_max, grid_n)
+    saved = metrics_mod._PAIR_BLOCK
+    metrics_mod._PAIR_BLOCK = block
+    try:
+        failures = validate_psi(psi, grid_max, grid_n).failures
+    finally:
+        metrics_mod._PAIR_BLOCK = saved
+    found = [msg for msg in failures if msg.startswith("subadditivity")]
+    assert found == ([] if expected is None else [expected])
+
+
+def test_validate_psi_memory_is_bounded():
+    # the full grid_n x grid_n pair matrices would peak at 126 MiB here
+    tracemalloc.start()
+    try:
+        report = validate_psi(RatioPsi(), 10.0, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 4 * 2**20
 
 
 def test_paired_sample_validation():
