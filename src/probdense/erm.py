@@ -189,9 +189,10 @@ class FitInfo:
     """Fit diagnostics: objective, objective of alpha = 0, steps, optimality residual, exit state.
 
     fit_quantile reports its active-set steps, the 2-norm of its KKT
-    violations and the relative gap (P - D) / P between the primal objective
-    and the dual of the returned fit as duality_gap; fit_pairwise, a direct
-    solve, reports 0 steps, its gradient norm and duality_gap None.
+    violations and the relative gap (P - D) / max(P, tol) between the primal
+    objective P and the dual D of the returned fit, tol its KKT tolerance,
+    as duality_gap; fit_pairwise, a direct solve, reports 0 steps, its
+    gradient norm and duality_gap None.
     """
 
     objective: float
@@ -395,7 +396,7 @@ def _cholesky_append(L: np.ndarray, v: np.ndarray, d: float) -> np.ndarray:
     return grown
 
 
-def _dual_active_set(K: np.ndarray, y: np.ndarray, tau: float, scale: float, tol: float):
+def _dual_active_set(K: np.ndarray, y: np.ndarray, tau: float, scale: float, tol: float, lam: float):
     """Minimise (1/2) u' K u / scale - u' y over [tau - 1, tau]^n; returns (u, steps).
 
     A primal active-set method from the vertex u_i = tau where y_i lies above
@@ -410,7 +411,8 @@ def _dual_active_set(K: np.ndarray, y: np.ndarray, tau: float, scale: float, tol
     along the null direction of K_F,j to the first bound met instead, where
     the objective falls linearly.  f follows each step through the changed
     rows of K and is recomputed from u before the solve may stop, once every
-    violation is at most tol, or after 10 n + 100 steps.
+    violation is at most tol, or after 10 n + 100 steps.  A step scale * p
+    that overflows raises NumericalError naming n and lam.
     """
     lo, hi = tau - 1.0, tau
     u = np.where(y > np.quantile(y, tau), hi, lo)
@@ -446,8 +448,10 @@ def _dual_active_set(K: np.ndarray, y: np.ndarray, tau: float, scale: float, tol
             idx, reach = free + [j], np.inf
             p = np.sign(r[j]) * np.append(-w, 1.0)
         old = u[idx]
-        du = scale * p
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            du = scale * p
+            if not np.isfinite(du).all():
+                raise NumericalError(f"dual active-set step is not finite (n={y.size}, lam={lam!r})")
             room = np.where(du > 0.0, (hi - old) / du, np.where(du < 0.0, (lo - old) / du, np.inf))
         k = int(np.argmin(room))
         new = np.clip(old + min(reach, room[k]) * du, lo, hi)
@@ -483,11 +487,13 @@ def fit_quantile(data: Dataset, kernel, loss, lam: float) -> tuple[RkhsFunction,
     FitInfo reports the step count as n_iters, the 2-norm of the KKT
     violations as grad_norm, converged = violations within the tolerance,
     and the relative duality gap
-    (1/n) sum (L(r_i) - u_i r_i) / objective, each term nonnegative, so
-    it carries no cancellation.  K is the only n x n array; the result is
-    deterministic.  One INFO record from probdense.erm gives the step
-    count, the free points and the gap.  Outputs whose spread max y - min y
-    overflows, and an objective that overflows, raise NumericalError.
+    (1/n) sum (L(r_i) - u_i r_i) / max(objective, tol), each term
+    nonnegative, so it carries no cancellation; the KKT tolerance tol is
+    its floor, so an exact fit at a zero optimum does not read 100 %.  K
+    is the only n x n array; the result is deterministic.  One INFO record
+    from probdense.erm gives the step count, the free points and the gap.
+    Outputs whose spread max y - min y overflows, an active-set step that
+    overflows and an objective that overflows raise NumericalError.
     """
     _check_lam(lam)
     if isinstance(loss, AbsoluteLoss):
@@ -501,8 +507,8 @@ def fit_quantile(data: Dataset, kernel, loss, lam: float) -> tuple[RkhsFunction,
     K = gram_matrix(kernel, data.inputs)
     scale = 2.0 * pinball_lam * n
     rounding = 16.0 * np.finfo(float).eps * float(K.diagonal().max()) / (2.0 * pinball_lam)
-    tol = _KKT_TOL * max(1.0, float(np.abs(y).max())) + rounding
-    u, steps = _dual_active_set(K, y, tau, scale, tol)
+    tol = float(_KKT_TOL * max(1.0, float(np.abs(y).max())) + rounding)
+    u, steps = _dual_active_set(K, y, tau, scale, tol, lam)
     alpha = u / scale
     f = _expansion(kernel, data.inputs, alpha, lam)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -513,7 +519,7 @@ def fit_quantile(data: Dataset, kernel, loss, lam: float) -> tuple[RkhsFunction,
     lo, hi = tau - 1.0, tau
     kkt = np.where(u == hi, -r, np.where(u == lo, r, np.abs(r))).clip(min=0.0)
     gap = weight * float(np.mean(np.where(r >= 0.0, (tau - u) * r, (tau - 1.0 - u) * r)))
-    gap = gap / objective if objective > 0.0 else 0.0
+    gap = gap / max(objective, tol)
     converged = bool(kkt.max() <= tol)
     if not converged:
         log.warning(

@@ -185,8 +185,8 @@ def _point_pair(k, X, Y) -> tuple[np.ndarray, np.ndarray]:
     return X, Y
 
 
-def _blocks(k, X: np.ndarray, Y: np.ndarray, out=None, consume=None, columns=None) -> None:
-    """Build K[i, j] = k(X[i], Y[j]) in consecutive row blocks, handing each to consume.
+def _blocks(k, X: np.ndarray, Y: np.ndarray, out=None, reach=None):
+    """Yield (rows, cols, block) with block = K[rows, cols], K[i, j] = k(X[i], Y[j]).
 
     X and Y are in the kernel's ``_scaled`` coordinates.  Each block is built
     in place from explicit coordinate differences (never the expanded
@@ -194,14 +194,13 @@ def _blocks(k, X: np.ndarray, Y: np.ndarray, out=None, consume=None, columns=Non
     axis (a square root of the sum, or the absolute difference in 1-D, for
     a kernel that takes distances), then the kernel's transform.  Blocks are
     views of ``out`` when given, else of a scratch buffer that the next block
-    overwrites; ``consume(rows, cols, block)``, when given, runs on each block
-    right after it is built.  ``columns(start, stop)``, when given, returns
-    the slice of Y that the block of rows start:stop covers (all of Y
-    otherwise); the block then holds only those columns.  The row split
+    overwrites.  With ``reach``, X and Y must be sorted by their first
+    coordinate, and a block holds only the columns whose first coordinate
+    lies within ``reach`` of its rows' (all of Y otherwise).  The row split
     depends on _BLOCK_ENTRIES and the shapes only, and memory is one set of
-    block buffers.  Overflow is silenced while a block is built, not in
-    consume: a far point's distance overflows to inf, which the transform
-    maps to exactly 0.
+    block buffers.  Overflow is silenced while a block is built, not in the
+    caller's use of it: a far point's distance overflows to inf, which the
+    transform maps to exactly 0.
     """
     n, d = X.shape
     m = Y.shape[0]
@@ -211,10 +210,18 @@ def _blocks(k, X: np.ndarray, Y: np.ndarray, out=None, consume=None, columns=Non
     scratch = np.empty(rows * m) if out is None else None
     work = np.empty(rows * m)
     cols = slice(0, m)
-    for start in range(0, n, rows):
+    if reach is not None:
+        first = np.arange(0, n, rows)
+        last = np.minimum(first + rows, n) - 1
+        # Rounding is monotone, so y1 < fl(x1 - reach) implies x1 - y1 > reach,
+        # hence a computed |x1 - y1| >= reach; a column with
+        # y1 == fl(x1 -/+ reach) may lie within reach and is kept.
+        lo = np.searchsorted(Y[:, 0], X[first, 0] - reach, side="left")
+        hi = np.searchsorted(Y[:, 0], X[last, 0] + reach, side="right")
+    for b, start in enumerate(range(0, n, rows)):
         stop = min(n, start + rows)
-        if columns is not None:
-            cols = columns(start, stop)
+        if reach is not None:
+            cols = slice(lo[b], hi[b])
         Yb = Y[cols]
         shape = (stop - start, Yb.shape[0])
         entries = shape[0] * shape[1]
@@ -234,8 +241,7 @@ def _blocks(k, X: np.ndarray, Y: np.ndarray, out=None, consume=None, columns=Non
                 if k._distances:
                     np.sqrt(block, out=block)
             k._transform(block, work[:entries].reshape(shape))
-        if consume is not None:
-            consume(slice(start, stop), cols, block)
+        yield slice(start, stop), cols, block
 
 
 def _kernel_diag(k, n: int) -> np.ndarray:
@@ -254,7 +260,8 @@ def pairwise(k, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     X, Y = _point_pair(k, X, Y)
     out = np.empty((X.shape[0], Y.shape[0]))
     Xs = k._scaled(X, "X")
-    _blocks(k, Xs, Xs if Y is X else k._scaled(Y, "Y"), out)
+    for _ in _blocks(k, Xs, Xs if Y is X else k._scaled(Y, "Y"), out):
+        pass
     return out
 
 
@@ -284,7 +291,8 @@ def kernel_matvec(k, X, C, a) -> np.ndarray:
         raise ValueError(f"a must have shape ({C.shape[0]},), got {a.shape}")
     out = np.empty(X.shape[0])
     if not isinstance(k, WendlandC2):
-        _blocks(k, X, C, consume=lambda rows, _, block: np.matmul(block, a, out=out[rows]))
+        for rows, _, block in _blocks(k, X, C):
+            np.matmul(block, a, out=out[rows])
         return out
     X, C = k._scaled(X, "X"), k._scaled(C, "C")
     order = np.lexsort(X.T[::-1])
@@ -296,23 +304,11 @@ def kernel_matvec(k, X, C, a) -> np.ndarray:
     X = X[distinct]
     by_first = np.argsort(C[:, 0], kind="stable")
     C, a = C[by_first], a[by_first]
-    c1 = C[:, 0]
-
-    # In scaled coordinates the support is r < 1.  Rounding is monotone, so
-    # c1 < fl(x1 - 1) implies x1 - c1 > 1, hence a computed |x1 - c1| >= 1, a
-    # computed r >= 1 and a value of exactly 0; a centre with
-    # c1 == fl(x1 -/+ 1) may lie inside the support and is kept.
-    def columns(start, stop):
-        lo = np.searchsorted(c1, X[start, 0] - 1.0, side="left")
-        hi = np.searchsorted(c1, X[stop - 1, 0] + 1.0, side="right")
-        return slice(lo, hi)
-
+    # in scaled coordinates the support is r < 1: a computed |x1 - c1| >= 1
+    # gives a computed r >= 1 and a value of exactly 0
     values = np.empty(X.shape[0])
-
-    def consume(rows, cols, block):
+    for rows, cols, block in _blocks(k, X, C, reach=1.0):
         np.matmul(block, a[cols], out=values[rows])
-
-    _blocks(k, X, C, consume=consume, columns=columns)
     out[order] = values[np.cumsum(distinct) - 1]
     return out
 

@@ -104,9 +104,15 @@ class PsiValidationReport:
 
 
 def _psi_grid(grid_max: float, grid_n: int) -> np.ndarray:
-    """The grid_n evenly spaced points of [0, grid_max] that validate_psi checks."""
+    """The grid_n evenly spaced points of [0, grid_max] that validate_psi checks.
+
+    grid_max is at most half the largest double, so that every pair sum
+    a + b that the subadditivity check takes is finite.
+    """
     if not (np.isfinite(grid_max) and grid_max > 0.0):
         raise ValueError(f"grid_max must be positive, got {grid_max!r}")
+    if grid_max > np.finfo(float).max / 2:
+        raise ValueError(f"grid_max must be at most half the largest double, 8.988e307, got {grid_max!r}")
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
     return np.linspace(0.0, grid_max, grid_n)
@@ -118,7 +124,7 @@ _PAIR_BLOCK = 2**16
 
 
 def validate_psi(psi, grid_max: float = 10.0, grid_n: int = 1000) -> PsiValidationReport:
-    """Check the psi axioms numerically on [0, grid_max].
+    """Check the psi axioms numerically on [0, grid_max], grid_max <= 8.988e307.
 
     Verified on the raw (unclamped) transform: psi(0) = 0, psi(x) > 0 for
     x > 0, values in [0, 1], monotone nondecreasing, and subadditivity
@@ -204,8 +210,8 @@ def paired_sample(f, g, pts, weights=None) -> PairedSample:
 
 
 def psi_metric(psi, sample: PairedSample) -> float:
-    """Integrated-psi metric sum_j w_j psi(d_j), in [0, 1]."""
-    return float(np.dot(sample.weights, apply_psi(psi, sample.distances)))
+    """Integrated-psi metric sum_j w_j psi(d_j), in [0, 1]: a sum above 1 by rounding reads 1."""
+    return min(1.0, float(np.dot(sample.weights, apply_psi(psi, sample.distances))))
 
 
 def ky_fan_metric(sample: PairedSample) -> float:
@@ -217,7 +223,8 @@ def ky_fan_metric(sample: PairedSample) -> float:
     P(d > c_i) <= S_(i+1) <= c_i, and so is S_1; the metric is
     min(S_1, min_i c_i).  The minimum is attained at the last element of a
     run of tied distances, whose mass above is exactly the exceedance mass
-    P(d > d_(i)).  A -0.0 result is returned as 0.0.
+    P(d > d_(i)).  The result is clamped at 1, which S_1 and the c_i can
+    exceed by rounding, and a -0.0 result is returned as 0.0.
     """
     keep = sample.weights > 0.0
     d = sample.distances[keep]
@@ -225,4 +232,4 @@ def ky_fan_metric(sample: PairedSample) -> float:
     ds = d[order]
     suffix = np.cumsum(sample.weights[keep][order][::-1])[::-1]
     above = np.append(suffix[1:], 0.0)
-    return float(min(suffix[0], np.where(above <= ds, ds, above).min())) + 0.0
+    return float(min(1.0, suffix[0], np.where(above <= ds, ds, above).min())) + 0.0

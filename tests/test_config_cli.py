@@ -1,6 +1,7 @@
 """Tests for config parsing and the command line front end."""
 
 import dataclasses
+import logging
 import os
 import re
 import subprocess
@@ -520,6 +521,9 @@ def test_cli_study_cells_whose_numbers_overflow_fail_alone(tmp_path, capsys, lev
     for cell in read_report_csv(out):
         metrics = [getattr(cell, name) for name in _METRICS]
         assert np.all(np.isnan(metrics)) if cell.n in failed else np.all(np.isfinite(metrics))
+        if cell.n not in failed:
+            # the fits miss the huge level everywhere, and both metrics are at most 1
+            assert cell.d_psi <= 1.0 and cell.ky_fan <= 1.0
 
 
 def test_cli_rejects_bad_sampler_parameters_as_config_error(tmp_path, capsys):
@@ -625,6 +629,24 @@ def test_cli_fit_quantile_reports_the_dual_solve(tmp_path, capsys, monkeypatch):
     assert np.array_equal(rows[:, 0], data[:, 0])
 
 
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("config", sorted((REPO / "configs").glob("*.ini")), ids=lambda p: p.name)
+def test_every_shipped_config_runs(tmp_path, capsys, caplog, monkeypatch, config):
+    # each file's header gives its command line, run from the repository root
+    command = re.search(r"^#\s+probdense (\S+) --config configs/", config.read_text(), re.M).group(1)
+    monkeypatch.chdir(REPO)
+    before = set(os.listdir(REPO))
+    out = tmp_path / "out"
+    with caplog.at_level(logging.WARNING):
+        assert run_cli(command, "--config", f"configs/{config.name}", "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    assert not caplog.records
+    assert sorted(os.listdir(tmp_path)) == ["out", "out.manifest.txt"]
+    assert set(os.listdir(REPO)) == before
+
+
 def test_cli_fit_pairwise_reports_direct_solve(tmp_path, capsys):
     # the iteration keys stay accepted for every loss; the direct solve ignores them
     data = tmp_path / "d.csv"
@@ -711,6 +733,16 @@ def test_cli_validate_psi_pass_and_fail(tmp_path, capsys):
     assert "outside [0, 1]" in text
     assert "subadditivity" in text
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_cli_validate_psi_rejects_a_grid_whose_pair_sums_overflow(tmp_path, capsys):
+    cfg = write(tmp_path, "[psi]\npsi = ratio\ngrid_max = 1e308\ngrid_n = 10\n")
+    out = tmp_path / "psi.txt"
+    assert run_cli("validate-psi", "--config", str(cfg), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {cfg}:3: grid_max must be at most half the largest double" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not out.exists()
 
 
 def test_cli_report_summarizes_study_csv(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import contextlib
 import logging
+import re
 import tracemalloc
 
 import numpy as np
@@ -134,8 +135,10 @@ def test_non_finite_coefficients_are_a_numerical_error(solve, lam, context):
         ("0.0,1e308\n0.001,-1e308\n", "absolute", 1e-12, 1.0, "solve gave non-finite coefficients"),
         # finite coefficients whose objective overflows
         ("0.0,4e299\n0.5,-4e299\n", "ranking_squared", 0.5, 0.3, "fit gave a non-finite objective"),
+        # finite outputs whose dual active-set step u += 2 lam n p overflows
+        ("0.698,-1.3e306\n0.314,-6e305\n", "absolute", 1000.0, 2.2, "dual active-set step is not finite"),
     ],
-    ids=["absolute", "ranking"],
+    ids=["absolute", "ranking", "active-set-step"],
 )
 def test_cli_fit_never_exits_0_with_a_non_finite_objective(tmp_path, capsys, rows, loss, lam, gamma, message):
     data = tmp_path / "d.csv"
@@ -150,6 +153,42 @@ def test_cli_fit_never_exits_0_with_a_non_finite_objective(tmp_path, capsys, row
     assert f"numerical failure: {message} (n=2, lam={lam!r})" in err
     assert "Traceback" not in err and "RuntimeWarning" not in err
     assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n=st.integers(1, 40),
+    scale=st.floats(-300.0, 307.5).map(lambda e: 10.0**e),
+    loss=st.sampled_from(["squared", "absolute", "pinball", "ranking_squared"]),
+    tau=st.floats(0.01, 0.99),
+    lam=st.floats(-15.0, 3.0).map(lambda e: 10.0**e),
+    gamma=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cli_fit_at_every_output_scale_exits_cleanly(tmp_path, capsys, n, scale, loss, tau, lam, gamma, seed):
+    # a fit succeeds with a finite objective and coefficients, or fails as a
+    # config error (1) or a numerical failure (2): never a traceback or a warning
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, n)
+    y = np.clip(rng.normal(size=n) * scale, -1.7e308, 1.7e308)
+    data, cfg, out = tmp_path / "d.csv", tmp_path / "fit.ini", tmp_path / "f.csv"
+    data.write_text("".join(f"{a!r},{b!r}\n" for a, b in zip(x, y)))
+    cfg.write_text(
+        f"[fit]\ndata = {data}\nloss = {loss}\nlambda = {lam!r}\n"
+        + (f"tau = {tau!r}\n" if loss == "pinball" else "")
+        + f"[kernel]\nfamily = gaussian_rbf\ngamma = {gamma!r}\n"
+    )
+    out.unlink(missing_ok=True)
+    code = main(["fit", "--config", str(cfg), "--out", str(out)])
+    printed = capsys.readouterr()
+    assert code in (0, 1, 2), printed.err
+    if code == 0:
+        objective = re.search(r"objective (\S+?)[,)]", printed.out)
+        assert loss == "squared" or np.isfinite(float(objective.group(1)))
+        assert np.all(np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)))
+    else:
+        assert not out.exists()
 
 
 def test_ridge_single_point_closed_form():
@@ -655,6 +694,16 @@ def test_fit_quantile_zero_outputs_give_zero_function():
     assert info.converged and info.objective_at_zero == 0.0
     assert np.abs(f(data.inputs)).max() <= 1e-12
     assert info.objective <= 1e-12
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 3.0])
+def test_fit_quantile_gap_at_a_zero_optimum_is_rounding(gamma):
+    # the objective is rounding (about 1e-17); relative to it the gap would
+    # read 1, relative to the KKT tolerance it reads what it is
+    data = Dataset(np.array([[0.1], [0.7]]), np.zeros(2))
+    _, info = fit_quantile(data, GaussianRBF(gamma), PinballLoss(0.416), 1.81)
+    assert info.converged and info.objective <= 1e-16
+    assert 0.0 <= info.duality_gap <= 1e-4
 
 
 @pytest.mark.parametrize("m", [0, 3, 6])

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from probdense import metrics as metrics_mod
@@ -46,7 +46,8 @@ def ky_fan_scan(sample: PairedSample) -> float:
     On an interval [lo, hi) with exceedance mass m the smallest feasible
     candidate is lo if m <= lo, else m if m < hi; the first interval that
     admits a candidate yields the metric.  This is the loop the closed form
-    in ky_fan_metric replaced.
+    in ky_fan_metric replaced; like the metric, it reads 1 where a mass
+    exceeds 1 by rounding.
     """
     keep = sample.weights > 0.0
     d = sample.distances[keep]
@@ -70,7 +71,7 @@ def ky_fan_scan(sample: PairedSample) -> float:
         m = masses[t]
         cand = lo if m <= lo else m
         if cand < hi:
-            return float(cand)
+            return min(1.0, float(cand))
     raise AssertionError("the final interval always admits a candidate")
 
 
@@ -149,6 +150,16 @@ def test_validate_psi_bad_grid_arguments():
         validate_psi(CappedPsi(), grid_max=0.0)
     with pytest.raises(ValueError):
         validate_psi(CappedPsi(), grid_n=1)
+
+
+def test_validate_psi_rejects_a_grid_whose_pair_sums_overflow():
+    # grid[i] + grid[j] would overflow to inf, whose nan comparisons pass silently
+    with pytest.raises(ValueError, match=r"^grid_max must be at most half the largest double"):
+        validate_psi(RatioPsi(), 1e308, 10)
+    half = np.finfo(float).max / 2
+    assert validate_psi(RatioPsi(), half, 10).passed
+    with pytest.raises(ValueError, match=r"^grid_max"):
+        validate_psi(RatioPsi(), np.nextafter(half, np.inf), 10)
 
 
 def _subadditivity_reference(psi, grid_max, grid_n):
@@ -292,6 +303,14 @@ def test_ky_fan_frozen_values():
     assert ky_fan_metric(s) == 0.5
 
 
+def test_metrics_never_exceed_one():
+    # 1000 weights of 1e-3 sum to 1.0000000000000007; both metrics are in [0, 1]
+    s = PairedSample(np.full(1000, 5.0), np.full(1000, 1e-3))
+    assert ky_fan_metric(s) == 1.0
+    assert psi_metric(CappedPsi(), s) == 1.0
+    assert psi_metric(RatioPsi(), s) == pytest.approx(5.0 / 6.0, rel=1e-14)
+
+
 def test_ky_fan_ignores_zero_weight_atoms():
     s = PairedSample(np.array([5.0, 0.1]), np.array([0.0, 1.0]))
     assert ky_fan_metric(s) == 0.1
@@ -359,6 +378,8 @@ def test_capped_psi_metric_bounded_by_twice_ky_fan():
     negative_zeros=st.booleans(),
     weights=st.sampled_from(["uniform", "random", "some zero"]),
 )
+# two distances above 1 whose random weights sum to 1 + 2.2e-16
+@example(n=2, seed=41, scale=2.0, decimals=None, zero_frac=0.0, negative_zeros=False, weights="random")
 def test_ky_fan_closed_form_is_bitwise_the_scan(
     n, seed, scale, decimals, zero_frac, negative_zeros, weights
 ):
