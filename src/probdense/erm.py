@@ -25,7 +25,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .kernels import WendlandC2, _kernel_diag, gram_matrix, kernel_matvec, pairwise
 from .rkhs import RkhsFunction
@@ -67,6 +66,12 @@ _MAX_RANK = 512
 # the free face only when its Schur complement exceeds _DEPENDENT * k(x, x).
 _KKT_TOL = 1e-12
 _DEPENDENT = 16.0 * np.finfo(float).eps
+
+# cho_factor factors, and _solve_lower substitutes, _BLOCK columns or rows at
+# a time, so no temporary exceeds n x _BLOCK: below about 64, numpy's
+# per-call cost dominates the study's small solves; above it, the
+# O(_BLOCK^3) diagonal-block solves do.
+_BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,15 +208,60 @@ class FitInfo:
     duality_gap: float | None = None
 
 
+def cho_factor(A: np.ndarray) -> np.ndarray:
+    """Overwrite the lower triangle of the symmetric matrix A with its Cholesky factor L; returns A.
+
+    A = L L', left-looking by blocks of _BLOCK columns (Golub & Van Loan,
+    Matrix Computations, 4th ed., Sec. 4.2): a block column takes the
+    update by the columns left of it, np.linalg.cholesky factors its
+    diagonal block D, and the rows below are multiplied by D^-T.  Only the
+    lower triangle is read; above the diagonal blocks A keeps its entries,
+    and within them it holds zeros.  No temporary is larger than
+    n x _BLOCK.  Raises np.linalg.LinAlgError when A is not positive
+    definite, with A partly overwritten.
+    """
+    n = A.shape[0]
+    for j in range(0, n, _BLOCK):
+        e = min(j + _BLOCK, n)
+        A[j:, j:e] -= A[j:, :j] @ A[j:e, :j].T
+        D = np.linalg.cholesky(A[j:e, j:e])
+        A[j:e, j:e] = D
+        if e < n:
+            A[e:, j:e] = A[e:, j:e] @ np.linalg.inv(D).T
+    return A
+
+
+def _solve_lower(L: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:
+    """x with L x = b, or L' x = b when trans, for b of shape (n,) or (n, k).
+
+    Block forward (back, when trans) substitution, _BLOCK rows at a time;
+    np.linalg.solve solves each diagonal block.  Only the lower triangle of
+    L is read, so the factor cho_factor leaves in place serves as it is,
+    and an upper triangular U is solved as _solve_lower(U.T, b, trans=True).
+    """
+    n = L.shape[0]
+    x = np.array(b, dtype=float)
+    starts = range(0, n, _BLOCK)
+    for j in reversed(starts) if trans else starts:
+        e = min(j + _BLOCK, n)
+        D = np.tril(L[j:e, j:e])
+        if trans:
+            x[j:e] -= L[e:, j:e].T @ x[e:]
+            x[j:e] = np.linalg.solve(D.T, x[j:e])
+        else:
+            x[j:e] -= L[j:e, :j] @ x[:j]
+            x[j:e] = np.linalg.solve(D, x[j:e])
+    return x
+
+
 def _dense_solve(kernel, X: np.ndarray, shift: float, b: np.ndarray, lam: float) -> np.ndarray:
     """Solve (K + shift * I) x = b by Cholesky, building K and factoring it in place.
 
-    LAPACK gets the F-contiguous view K.T, the same matrix since K is
-    exactly symmetric, so no n x n copy is made.  After a failed
-    factorization, build K again (bitwise the same matrix), add
-    1e-12 * trace(K) / n to the diagonal and retry with 10x the jitter, at
-    most three times, then raise NumericalError.  Each escalation is logged
-    as a WARNING.
+    cho_factor overwrites the lower triangle of K with the factor, so no
+    n x n copy is made.  After a failed factorization, build K again
+    (bitwise the same matrix), add 1e-12 * trace(K) / n to the diagonal and
+    retry with 10x the jitter, at most three times, then raise
+    NumericalError.  Each escalation is logged as a WARNING.
     """
     A = gram_matrix(kernel, X)
     n = A.shape[0]
@@ -222,7 +272,7 @@ def _dense_solve(kernel, X: np.ndarray, shift: float, b: np.ndarray, lam: float)
     while True:
         A[diag] = d
         try:
-            factor = cho_factor(A.T, lower=True, overwrite_a=True, check_finite=False)
+            L = cho_factor(A)
             break
         except np.linalg.LinAlgError:
             if attempt >= 3:
@@ -243,7 +293,7 @@ def _dense_solve(kernel, X: np.ndarray, shift: float, b: np.ndarray, lam: float)
         # the overwritten K, so releasing it here frees its n x n array
         del A
         A = gram_matrix(kernel, X)
-    return cho_solve(factor, b, check_finite=False)
+    return _solve_lower(L, _solve_lower(L, b), trans=True)
 
 
 def _pivoted_cholesky(kernel, X: np.ndarray, tol: float, cap: int):
@@ -288,10 +338,10 @@ def _woodbury_solve(Lt: np.ndarray, shift: float, b: np.ndarray) -> np.ndarray |
     M = Lt @ Lt.T
     M[np.diag_indices(M.shape[0])] += shift
     try:
-        factor = cho_factor(M, lower=True, overwrite_a=True, check_finite=False)
+        L = cho_factor(M)
     except np.linalg.LinAlgError:
         return None
-    z = cho_solve(factor, Lt @ b, check_finite=False)
+    z = _solve_lower(L, _solve_lower(L, Lt @ b), trans=True)
     return (b - Lt.T @ z) / shift
 
 
@@ -340,7 +390,7 @@ def _ridge_solve(data: Dataset, kernel, lam: float):
     if factor is None:
         return f, None, None
     Lt, pivots, d = factor
-    beta = solve_triangular(Lt[:, pivots], Lt @ alpha, lower=False, check_finite=False)
+    beta = _solve_lower(Lt[:, pivots].T, Lt @ alpha, trans=True)
     kmax = float(_kernel_diag(kernel, 1)[0])
     bound = float(np.sqrt(kmax * d.clip(min=0.0).sum()) * np.linalg.norm(alpha))
     return f, _expansion(kernel, X[pivots], beta, lam), bound
@@ -426,8 +476,7 @@ def _dual_active_set(K: np.ndarray, y: np.ndarray, tau: float, scale: float, tol
         if free and np.abs(r[free]).max() > tol:
             steps += 1
             idx, reach = list(free), 1.0
-            p = solve_triangular(L, r[idx], lower=True, check_finite=False)
-            p = solve_triangular(L, p, lower=True, trans="T", check_finite=False)
+            p = _solve_lower(L, _solve_lower(L, r[idx]), trans=True)
         else:
             violation = np.where(u == hi, -r, r)
             violation[free] = -np.inf
@@ -438,13 +487,13 @@ def _dual_active_set(K: np.ndarray, y: np.ndarray, tau: float, scale: float, tol
                 f, fresh = K @ (u / scale), True
                 continue
             steps += 1
-            v = solve_triangular(L, K[free, j], lower=True, check_finite=False)
+            v = _solve_lower(L, K[free, j])
             d = K[j, j] - v @ v
             if d > _DEPENDENT * K[j, j]:
                 free.append(j)
                 L = _cholesky_append(L, v, d)
                 continue
-            w = solve_triangular(L, v, lower=True, trans="T", check_finite=False)
+            w = _solve_lower(L, v, trans=True)
             idx, reach = free + [j], np.inf
             p = np.sign(r[j]) * np.append(-w, 1.0)
         old = u[idx]
@@ -467,7 +516,7 @@ def _dual_active_set(K: np.ndarray, y: np.ndarray, tau: float, scale: float, tol
         if reach == np.inf:
             # j left its bound and takes the blocked point's place; its Schur
             # complement may still be rounding, which the floor keeps valid
-            v = solve_triangular(L, K[free, j], lower=True, check_finite=False)
+            v = _solve_lower(L, K[free, j])
             free.append(j)
             L = _cholesky_append(L, v, max(K[j, j] - v @ v, _DEPENDENT * K[j, j]))
     return u, steps
@@ -492,8 +541,13 @@ def fit_quantile(data: Dataset, kernel, loss, lam: float) -> tuple[RkhsFunction,
     its floor, so an exact fit at a zero optimum does not read 100 %.  K
     is the only n x n array; the result is deterministic.  One INFO record
     from probdense.erm gives the step count, the free points and the gap.
-    Outputs whose spread max y - min y overflows, an active-set step that
-    overflows and an objective that overflows raise NumericalError.
+    A solve whose objective exceeds objective_at_zero * (1 + 1e-12), which
+    outputs far below the rounding of f = K alpha can leave within the KKT
+    tolerance, is replaced by alpha = 0 with a WARNING naming both
+    objectives, so no fit is worse than the zero function; FitInfo then
+    describes alpha = 0.  Outputs whose spread max y - min y overflows, an
+    active-set step that overflows and an objective that overflows raise
+    NumericalError.
     """
     _check_lam(lam)
     if isinstance(loss, AbsoluteLoss):
@@ -515,6 +569,17 @@ def fit_quantile(data: Dataset, kernel, loss, lam: float) -> tuple[RkhsFunction,
         fvals = K @ alpha
         objective = float(np.mean(loss.values(y, fvals)) + lam * (alpha @ fvals))
     _check_objective(objective, n, lam)
+    objective_at_zero = float(np.mean(loss.values(y, 0.0)))
+    if objective > objective_at_zero * (1.0 + 1e-12):
+        # outputs below the rounding of f = K alpha, which the KKT tolerance
+        # allows for, can leave the solve worse than the zero function
+        log.warning(
+            "dual active-set solve gave objective %r above %r, the objective at alpha = 0; "
+            "returning alpha = 0 (n=%d, lam=%r)",
+            objective, objective_at_zero, n, lam,
+        )
+        objective, u = objective_at_zero, np.zeros(n)
+        f, fvals = RkhsFunction(kernel, data.inputs, u), u
     r = y - fvals
     lo, hi = tau - 1.0, tau
     kkt = np.where(u == hi, -r, np.where(u == lo, r, np.abs(r))).clip(min=0.0)
@@ -530,9 +595,7 @@ def fit_quantile(data: Dataset, kernel, loss, lam: float) -> tuple[RkhsFunction,
         "dual active-set solve: %d steps, %d free points, duality gap %.3g",
         steps, int(np.count_nonzero((u > lo) & (u < hi))), gap,
     )
-    info = FitInfo(
-        objective, float(np.mean(loss.values(y, 0.0))), steps, float(np.linalg.norm(kkt)), converged, gap
-    )
+    info = FitInfo(objective, objective_at_zero, steps, float(np.linalg.norm(kkt)), converged, gap)
     return f, info
 
 

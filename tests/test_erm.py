@@ -7,9 +7,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+import scipy.linalg
 
 from probdense import (
     AbsoluteLoss,
@@ -32,6 +32,9 @@ from probdense import erm as erm_mod
 from probdense import kernels as kernels_mod
 from probdense.cli import main
 from probdense.kernels import pairwise
+
+# erm's own factor, kept before any test monkeypatches erm.cho_factor
+cho_factor = erm_mod.cho_factor
 
 
 def separated_problem(rng, n):
@@ -236,16 +239,86 @@ def test_ridge_centers_are_training_inputs():
     assert np.array_equal(f.centers, data.inputs)
 
 
-def test_ridge_jitter_recovers_from_transient_failures(monkeypatch):
-    from scipy.linalg import cho_factor
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n=st.integers(0, 300),
+    block=st.sampled_from([1, 3, 8, erm_mod._BLOCK]),
+    columns=st.sampled_from([None, 2]),
+    shift=st.floats(-8.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=0, block=erm_mod._BLOCK, columns=None, shift=0.0, seed=0)
+@example(n=0, block=3, columns=2, shift=0.0, seed=0)
+def test_blocked_cholesky_and_triangular_solves_match_scipy(monkeypatch, n, block, columns, shift, seed):
+    # residuals within a few units n * eps * ||A|| ||x|| of scipy's, on every
+    # block split; nan above the diagonal shows that only the lower triangle is read
+    monkeypatch.setattr(erm_mod, "_BLOCK", block)
+    rng = np.random.default_rng(seed)
+    G = rng.normal(size=(n, n))
+    A = G @ G.T / max(n, 1) + 10.0**shift * np.eye(n)
+    b = rng.normal(size=n if columns is None else (n, columns))
+    slack = 4 * max(n, 1) * np.finfo(float).eps
+    lower = np.tril(np.ones((n, n), dtype=bool))
 
+    def check(solve, reference, M, norm):
+        x, x_ref = solve(b), reference(b)
+        assert x.shape == b.shape
+        bound = slack * norm * max(np.linalg.norm(x), np.linalg.norm(x_ref))
+        assert abs(np.linalg.norm(M @ x - b) - np.linalg.norm(M @ x_ref - b)) <= bound
+
+    L = cho_factor(np.where(lower, A, np.nan))
+    assert np.isnan(L[np.triu_indices(n, block)]).all()  # above the diagonal blocks, untouched
+    factor = scipy.linalg.cho_factor(A, lower=True)
+    check(
+        lambda v: erm_mod._solve_lower(L, erm_mod._solve_lower(L, v), trans=True),
+        lambda v: scipy.linalg.cho_solve(factor, v),
+        A,
+        np.linalg.norm(A, 2) if n else 0.0,
+    )
+    T = np.tril(rng.normal(size=(n, n)), -1) + np.diag(rng.uniform(0.5, 2.0, n))
+    norm = np.linalg.norm(T, 2) if n else 0.0
+    for trans in (False, True):
+        check(
+            lambda v: erm_mod._solve_lower(np.where(lower, T, np.nan), v, trans),
+            lambda v: scipy.linalg.solve_triangular(T, v, lower=True, trans=int(trans)),
+            T.T if trans else T,
+            norm,
+        )
+    # an upper triangular U is solved as _solve_lower(U.T, b, trans=True); nan below U's diagonal
+    U = T.T
+    check(
+        lambda v: erm_mod._solve_lower(np.where(lower.T, U, np.nan).T, v, trans=True),
+        lambda v: scipy.linalg.solve_triangular(U, v, lower=False),
+        U,
+        norm,
+    )
+
+
+@pytest.mark.parametrize("block", [1, 3, 8, erm_mod._BLOCK])
+def test_blocked_cholesky_rejects_a_late_non_positive_minor(monkeypatch, block):
+    monkeypatch.setattr(erm_mod, "_BLOCK", block)
+    rng = np.random.default_rng(block)
+    n = 150
+    L = np.tril(rng.normal(size=(n, n)), -1) / n + np.eye(n)
+    for k in (block + 1, n // 2 + 1, n - 1):
+        # A = L D L' with D = diag(1, ..., -1 at k, ..., 1): the leading minors are
+        # positive up to order k and negative at order k + 1, past the first block
+        D = np.ones(n)
+        D[k] = -1.0
+        A = (L * D) @ L.T
+        assert np.linalg.eigvalsh(A[:k, :k]).min() > 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            cho_factor(A)
+
+
+def test_ridge_jitter_recovers_from_transient_failures(monkeypatch):
     calls = {"n": 0}
 
-    def flaky(A, **kw):
+    def flaky(A):
         calls["n"] += 1
         if calls["n"] <= 2:
             raise np.linalg.LinAlgError("forced")
-        return cho_factor(A, **kw)
+        return cho_factor(A)
 
     monkeypatch.setattr(erm_mod, "cho_factor", flaky)
     data = Dataset(np.array([[0.0], [1.0]]), np.array([1.0, 2.0]))
@@ -255,7 +328,7 @@ def test_ridge_jitter_recovers_from_transient_failures(monkeypatch):
 
 
 def test_ridge_raises_after_jitter_escalation(monkeypatch):
-    def always_fail(A, **kw):
+    def always_fail(A):
         raise np.linalg.LinAlgError("forced")
 
     monkeypatch.setattr(erm_mod, "cho_factor", always_fail)
@@ -280,7 +353,7 @@ def _pairwise_reference(data, kernel, lam, factorize=cho_factor):
 
 
 def _jitter_reference(A, shift, b, factorize):
-    """Cholesky of a copy of A + shift * I with the solvers' jitter escalation."""
+    """Cholesky of a copy of A + shift * I with the solvers' jitter escalation, then the two solves."""
     n = A.shape[0]
     jitter = 1e-12 * float(np.trace(A)) / n
     diag = np.diag_indices(n)
@@ -288,24 +361,24 @@ def _jitter_reference(A, shift, b, factorize):
     attempt = 0
     while True:
         try:
-            factor = factorize(A, lower=True, check_finite=False)
+            L = factorize(A.copy())
             break
         except np.linalg.LinAlgError:
             assert attempt < 3
             A[diag] += jitter
             jitter *= 10.0
             attempt += 1
-    return cho_solve(factor, b, check_finite=False)
+    return erm_mod._solve_lower(L, erm_mod._solve_lower(L, b), trans=True)
 
 
 def _counting_cho_factor(failures, forced=0):
     """cho_factor that fails its first `forced` calls and counts every failure."""
 
-    def factorize(A, **kw):
+    def factorize(A):
         try:
             if failures["calls"] < forced:
                 raise np.linalg.LinAlgError("forced")
-            return cho_factor(A, **kw)
+            return cho_factor(A)
         except np.linalg.LinAlgError:
             failures["n"] += 1
             raise
@@ -362,7 +435,7 @@ def test_jitter_escalations_are_logged(monkeypatch, caplog):
 
 
 def test_in_place_factorization_is_bitwise_unchanged(monkeypatch):
-    # LAPACK overwrites the system it factors in place; a retry must see it restored
+    # cho_factor overwrites the system it factors in place; a retry must see it restored
     rng = np.random.default_rng(59)
     data, kernel = separated_problem(rng, 60)
     for fit, reference in (
@@ -376,9 +449,9 @@ def test_in_place_factorization_is_bitwise_unchanged(monkeypatch):
         assert np.array_equal(fit().coefficients, reference(data, kernel, 1e-3))
         seen = []
 
-        def factor_then_fail_once(A, **kw):
+        def factor_then_fail_once(A):
             before = A.copy()
-            factor = cho_factor(A, **kw)
+            factor = cho_factor(A)
             seen.append(not np.array_equal(A, before))
             if len(seen) == 1:
                 raise np.linalg.LinAlgError("forced after factoring")
@@ -589,7 +662,7 @@ def test_pivot_basis_certificate(n, d, gamma, lam, seed):
     E = gram_matrix(kernel, X) - Lt.T @ Lt
     norm_e = np.sqrt(max(float(alpha @ E @ alpha), 0.0))
     x = rng.uniform(0, 1, (256, d))
-    newton = solve_triangular(Lt[:, pivots], pairwise(kernel, x, X[pivots]).T, trans="T")
+    newton = scipy.linalg.solve_triangular(Lt[:, pivots], pairwise(kernel, x, X[pivots]).T, trans="T")
     power = np.sqrt(np.clip(1.0 - (newton * newton).sum(axis=0), 0.0, None))
     rounding = 16 * np.finfo(float).eps * (np.abs(alpha).sum() + np.abs(beta).sum())
     gap = np.abs(f(x) - f_hat(x))
@@ -696,6 +769,28 @@ def test_fit_quantile_zero_outputs_give_zero_function():
     assert info.objective <= 1e-12
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-9, 1e-12, 1e-20])
+def test_fit_quantile_is_never_worse_than_the_zero_function(caplog, scale):
+    # the KKT tolerance is absolute, so outputs far below the rounding of
+    # f = K alpha pass it with an objective above the zero function's; such a
+    # solve is replaced by alpha = 0, and converged then holds for alpha = 0
+    rng = np.random.default_rng(83)
+    x = rng.uniform(0, 1, 50)
+    y = scale * (np.sin(6.0 * x) + 0.1 * rng.normal(size=50))
+    caplog.set_level(logging.WARNING, logger="probdense.erm")
+    f, info = fit_quantile(Dataset(x[:, None], y), GaussianRBF(0.2), PinballLoss(0.3), 1e-3)
+    assert info.converged
+    assert info.objective <= info.objective_at_zero * (1.0 + 1e-12)
+    messages = [r.getMessage() for r in caplog.records]
+    if scale > 1e-12:
+        assert messages == [] and f.coefficients.any()
+    elif scale < 1e-12:
+        [message] = messages
+        assert message.startswith("dual active-set solve gave objective ")
+        assert f" above {info.objective_at_zero!r}, the objective at alpha = 0; returning alpha = 0 " in message
+        assert not f.coefficients.any() and info.objective == info.objective_at_zero
+
+
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 3.0])
 def test_fit_quantile_gap_at_a_zero_optimum_is_rounding(gamma):
     # the objective is rounding (about 1e-17); relative to it the gap would
@@ -755,8 +850,8 @@ def test_ranking_fit_factors_k_itself_in_place():
 def test_jitter_retry_rebuilds_k_without_a_second_copy(monkeypatch, fit):
     calls = []
 
-    def factor_then_fail_once(A, **kw):
-        factor = cho_factor(A, **kw)
+    def factor_then_fail_once(A):
+        factor = cho_factor(A)
         calls.append(A.shape)
         if len(calls) == 1:
             raise np.linalg.LinAlgError("forced after factoring")
