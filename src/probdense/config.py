@@ -136,8 +136,6 @@ _STUDY = {
         "eval_sample_size": _Key(_int, "eval_sample_size"),
         "grid_resolution": _Key(_int, "grid_resolution"),
         "sampler": _Key(_one_of(_SAMPLERS), "sampler"),
-        "sampler_center": _Key(_real, "sampler_center", "sampler = truncated_gaussian"),
-        "sampler_scale": _Key(_real, "sampler_scale", "sampler = truncated_gaussian"),
     },
     "kernel": {"family": _Key(_one_of(_KERNEL_FAMILIES), "kernel_family")},
     "schedule": {
@@ -162,8 +160,8 @@ _FIT = {
         "tau": _Key(_real, "tau", "loss = pinball", True),
         "lambda": _Key(_real, "lam", required=True),
         # accepted and ignored: no solver iterates, and no class has these
-        # fields, but the benchmark's fit configs still write them (ROADMAP
-        # item 4 step 2 drops them there, and then these two rows)
+        # fields, but the benchmark's fit configs still write them; these two
+        # rows go once those configs stop writing them
         "max_iters": _Key(_int, "max_iters"),
         "step_size0": _Key(_real, "step_size0"),
     },

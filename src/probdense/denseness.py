@@ -51,8 +51,10 @@ _SCHEDULE_EXPONENT = -1.0 / 3.0
 
 def _check_domain(domain) -> tuple[float, float]:
     low, high = float(domain[0]), float(domain[1])
-    if not (np.isfinite(low) and np.isfinite(high) and low < high):
-        raise ValueError(f"domain must be a finite interval (low < high), got {domain!r}")
+    if not (low < high and np.isfinite(high - low)):
+        raise ValueError(
+            f"domain must be a finite interval (low < high) of finite width, got {domain!r}"
+        )
     return low, high
 
 
@@ -174,17 +176,6 @@ class SineWave:
         return np.sin(2.0 * np.pi * self.frequency * _domain_values(x, self.domain))
 
 
-# the one list of target names (-> class) and of sampler names; StudyConfig
-# and the config parser both read them
-_TARGETS = {
-    "indicator": IntervalIndicator,
-    "piecewise": PiecewiseConstant,
-    "sign": SignStep,
-    "sine": SineWave,
-}
-_SAMPLERS = ("uniform", "truncated_gaussian")
-
-
 def uniform_sampler(domain):
     """Sampler drawing uniform points from the domain interval."""
     low, high = _check_domain(domain)
@@ -195,47 +186,47 @@ def uniform_sampler(domain):
     return sample
 
 
-def _gaussian_params(domain, center, scale):
-    """(low, high, center, scale) of a truncated Gaussian sampler, defaults filled in, checked."""
-    low, high = _check_domain(domain)
-    c = 0.5 * (low + high) if center is None else float(center)
-    s = 0.25 * (high - low) if scale is None else float(scale)
-    if not (np.isfinite(c) and low <= c <= high):
-        raise ValueError(f"center {c!r} outside domain [{low}, {high}]")
-    if not (np.isfinite(s) and s > 0.0):
-        raise ValueError(f"scale must be positive, got {s!r}")
-    return low, high, c, s
+def truncated_gaussian_sampler(domain):
+    """Sampler drawing from N(mid, (width/4)^2) truncated to the domain interval.
 
-
-def truncated_gaussian_sampler(domain, center: float | None = None, scale: float | None = None):
-    """Sampler drawing from a Gaussian truncated to the domain interval.
-
-    Defaults: center at the midpoint, scale a quarter of the interval width.
+    Draws invert the truncated normal CDF on the arithmetic of
+    scipy.stats.truncnorm.rvs(a, b, loc=mid, scale=width/4) with the
+    standardised ends a, b (-2 and 2 up to rounding), so they are bitwise its
+    draws for the same Generator, and bitwise those of earlier versions.
     """
-    # imported here, so that a study with another sampler never loads scipy.special
-    from scipy.special import log1p, log_ndtr, logsumexp, ndtr, ndtri_exp
-
-    low, high, c, s = _gaussian_params(domain, center, scale)
+    low, high = _check_domain(domain)
+    c, s = 0.5 * (low + high), 0.25 * (high - low)
+    # then a < 0 < b, scipy's central case with a left-tail inversion; only a
+    # midpoint that rounds onto an end or overflows, or a scale that underflows
+    # to 0, fails this
+    if not (s > 0.0 and low < c < high):
+        raise ValueError(
+            f"domain must have its midpoint strictly inside it and width / 4 > 0, got {domain!r}"
+        )
     a, b = (low - c) / s, (high - c) / s
-    # Inverse-CDF draws on the arithmetic of scipy.stats.truncnorm.rvs, so they
-    # are bitwise its draws for the same Generator.  The center lies in the
-    # domain, so a <= 0 <= b: the log mass of [a, b] is scipy's central case,
-    # or its left-tail case (a complex log-difference) when b == 0.
-    if b <= 0.0:
-        log_mass = logsumexp([log_ndtr(b), log_ndtr(a) + np.pi * 1j], axis=0).real
-    else:
-        log_mass = log1p(-ndtr(a) - ndtr(-b))
-    # like scipy, invert from the left tail when a < 0, else from the right one
-    left = a < 0.0
-    log_tail = log_ndtr(a if left else -b)
 
     def sample(rng: np.random.Generator, n: int) -> np.ndarray:
+        # imported here, so that a study with another sampler, and the parse of
+        # any study config, never loads scipy.special
+        from scipy.special import log1p, log_ndtr, logsumexp, ndtr, ndtri_exp
+
+        log_mass = log1p(-ndtr(a) - ndtr(-b))
         q = rng.uniform(size=n)
-        log_q = np.log(q) if left else np.log1p(-q)
-        x = ndtri_exp(logsumexp([np.full(n, log_tail), log_q + log_mass], axis=0))
-        return ((x if left else -x) * s + c).reshape(n, 1)
+        x = ndtri_exp(logsumexp([np.full(n, log_ndtr(a)), np.log(q) + log_mass], axis=0))
+        return (x * s + c).reshape(n, 1)
 
     return sample
+
+
+# the one list of target names (-> class) and of sampler names (-> factory of
+# a domain); StudyConfig and the config parser both read them
+_TARGETS = {
+    "indicator": IntervalIndicator,
+    "piecewise": PiecewiseConstant,
+    "sign": SignStep,
+    "sine": SineWave,
+}
+_SAMPLERS = {"uniform": uniform_sampler, "truncated_gaussian": truncated_gaussian_sampler}
 
 
 @dataclass(frozen=True)
@@ -245,7 +236,9 @@ class StudyConfig:
     Bandwidth shrinks as gamma_coeff * n^(-1/3) and the ridge penalty as
     lambda_coeff / n.  eval_sample_size defaults to 10 * max(sample_sizes);
     every cell draws fresh evaluation points from the same input
-    distribution as training, on an independent derived seed.
+    distribution as training, on an independent derived seed.  The input
+    distribution is the sampler's: uniform on the target's domain, or
+    truncated_gaussian, N(mid, (width/4)^2) truncated to it.
     """
 
     target: object
@@ -259,8 +252,6 @@ class StudyConfig:
     eval_sample_size: int | None = None
     grid_resolution: int = 10001
     sampler: str = "uniform"
-    sampler_center: float | None = None
-    sampler_scale: float | None = None
 
     def __post_init__(self):
         if not isinstance(self.target, tuple(_TARGETS.values())):
@@ -301,17 +292,8 @@ class StudyConfig:
         if self.grid_resolution < 2:
             raise ValueError(f"grid_resolution must be >= 2, got {self.grid_resolution}")
         if self.sampler not in _SAMPLERS:
-            raise ValueError(f"sampler must be one of {_SAMPLERS}, got {self.sampler!r}")
-        if self.sampler == "truncated_gaussian":
-            try:
-                _gaussian_params(self.target.domain, self.sampler_center, self.sampler_scale)
-            except ValueError as exc:
-                # name the fields: "center ..." becomes "sampler_center ..."
-                raise ValueError(f"sampler_{exc}") from None
-        elif self.sampler_center is not None or self.sampler_scale is not None:
-            raise ValueError(
-                "sampler_center and sampler_scale apply only to sampler = truncated_gaussian"
-            )
+            raise ValueError(f"sampler must be one of {tuple(_SAMPLERS)}, got {self.sampler!r}")
+        self.build_sampler()  # the sampler rejects a domain it cannot draw from
 
     def bandwidth_for(self, n: int) -> float:
         return self.gamma_coeff * float(n) ** _SCHEDULE_EXPONENT
@@ -324,11 +306,7 @@ class StudyConfig:
         return _KERNEL_FAMILIES[self.kernel_family](self.bandwidth_for(n))
 
     def build_sampler(self):
-        if self.sampler == "uniform":
-            return uniform_sampler(self.target.domain)
-        return truncated_gaussian_sampler(
-            self.target.domain, self.sampler_center, self.sampler_scale
-        )
+        return _SAMPLERS[self.sampler](self.target.domain)
 
 
 @dataclass(frozen=True)
@@ -427,7 +405,8 @@ def _study_cell(cfg: StudyConfig, sampler, n: int, rep: int, kernel, lam: float)
         "sup_gap": sup_gap_estimate(target, fitted, cfg.grid_resolution),
         "l1_gap": l1_gap,
         # |R(fitted) - R(target)| under the absolute loss with noise-free
-        # labels is |l1_gap - 0|, bitwise l1_gap (ROADMAP item 7)
+        # labels is |l1_gap - 0|, bitwise l1_gap, so this column carries no
+        # information of its own
         "risk_gap": l1_gap,
     }
     for name, value in metrics.items():

@@ -173,7 +173,7 @@ def _check_spread(y: np.ndarray, lam: float) -> None:
     with np.errstate(over="ignore"):
         spread = np.ptp(y)
     if not np.isfinite(spread):
-        raise NumericalError(f"solve gave non-finite coefficients (n={y.size}, lam={lam!r})")
+        raise NumericalError(f"outputs' spread max y - min y overflows (n={y.size}, lam={lam!r})")
 
 
 def _check_objective(objective: float, n: int, lam: float) -> None:

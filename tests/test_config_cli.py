@@ -24,14 +24,21 @@ from probdense import (
     StudyConfig,
     TabulatedPsi,
 )
+from probdense import config
 from probdense.cli import main
 from probdense.config import (
+    FitJob,
+    KernelEvalJob,
+    PsiJob,
     format_study_config,
     parse_fit_config,
     parse_kernel_eval_config,
     parse_study_config,
 )
 from probdense.denseness import _METRICS
+from probdense.erm import _LOSSES
+from probdense.kernels import _KERNEL_FAMILIES
+from probdense.metrics import _PSI_KINDS
 from probdense.reporting import read_report_csv
 from probdense.util import ConfigError
 
@@ -73,6 +80,35 @@ def test_minimal_study_config_defaults(tmp_path):
     assert cfg.eval_sample_size == 80
 
 
+def _unfilled_keys(tables, cls, objects):
+    """Keys whose field is missing from a class they fill: cls, or the classes of their variant."""
+    unfilled = []
+    for table in tables:
+        for key, spec in table.items():
+            owner, _, choice = spec.variant.partition(" = ")
+            if owner not in objects:
+                owners = [cls]
+            else:
+                owners = [objects[owner][choice]] if choice else list(objects[owner].values())
+            if any(spec.field not in {f.name for f in dataclasses.fields(c)} for c in owners):
+                unfilled.append(key)
+    return unfilled
+
+
+def test_every_config_key_fills_a_field():
+    # the reader drops a key whose field its class lacks, so a row left behind
+    # without its field would be accepted and ignored
+    kernels = {"family": _KERNEL_FAMILIES}
+    losses = {name: cls for name, (cls, _) in _LOSSES.items()}
+    study = {key: classes for key, (classes, _) in config._STUDY_OBJECTS.items()}
+    assert _unfilled_keys(config._STUDY.values(), StudyConfig, study) == []
+    assert _unfilled_keys([config._PSI], PsiJob, {"psi": _PSI_KINDS}) == []
+    assert _unfilled_keys([config._POINT_KERNEL], KernelEvalJob, kernels) == []
+    # accepted and ignored while perfbench/workloads.py still writes them
+    fit = _unfilled_keys(config._FIT.values(), FitJob, {**kernels, "loss": losses})
+    assert fit == ["max_iters", "step_size0"]
+
+
 def test_study_config_round_trip(tmp_path):
     cfg = StudyConfig(
         target=PiecewiseConstant(((0.0, 0.2, 1.0), (0.4, 0.6, -2.0))),
@@ -86,8 +122,6 @@ def test_study_config_round_trip(tmp_path):
         eval_sample_size=100,
         grid_resolution=501,
         sampler="truncated_gaussian",
-        sampler_center=0.4,
-        sampler_scale=0.3,
     )
     text = format_study_config(cfg)
     assert parse_study_config(write(tmp_path, text)) == cfg
@@ -134,10 +168,6 @@ def study_configs(draw):
     else:
         psi = RatioPsi() if psi_kind == "ratio" else CappedPsi()
     sampler = draw(st.sampled_from(["uniform", "truncated_gaussian"]))
-    center = scale = None
-    if sampler == "truncated_gaussian":
-        center = draw(st.none() | fractions.map(at))
-        scale = draw(st.none() | positive)
     sizes = sorted(draw(st.lists(st.integers(1, 5000), min_size=1, max_size=5, unique=True)))
     return StudyConfig(
         target=target,
@@ -151,8 +181,6 @@ def study_configs(draw):
         eval_sample_size=draw(st.none() | st.integers(1, 10**6)),
         grid_resolution=draw(st.integers(2, 20001)),
         sampler=sampler,
-        sampler_center=center,
-        sampler_scale=scale,
     )
 
 
@@ -350,14 +378,6 @@ def fit_with(select, bad):
             study_with, "target = sine", "psi_grid_y = 0 1", "psi = custom", id="psi_grid_y"
         ),
         pytest.param(
-            study_with, "target = sine\nsampler = uniform", "sampler_center = 0.3",
-            "sampler = truncated_gaussian", id="sampler_center",
-        ),
-        pytest.param(
-            study_with, "target = sine", "sampler_scale = 0.1", "sampler = truncated_gaussian",
-            id="sampler_scale",
-        ),
-        pytest.param(
             kernel_with, "family = wendland_c2", "gamma = 1.0", "family = gaussian_rbf", id="gamma"
         ),
         pytest.param(
@@ -476,16 +496,21 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli("study", "--config", str(bad), "--out", str(tmp_path / "o.csv")) == 1
     assert "config error" in capsys.readouterr().err
 
-    # outputs near the float limit overflow the ridge and ranking solves
+    # outputs near the float limit overflow the ridge solve, and the ranking
+    # fit's check of their spread
     data = tmp_path / "d.csv"
     data.write_text("0.0,1e308\n0.001,-1e308\n")
-    for loss in ("squared", "ranking_squared"):
+    failures = {
+        "squared": "solve gave non-finite coefficients",
+        "ranking_squared": "outputs' spread max y - min y overflows",
+    }
+    for loss, failure in failures.items():
         text = FIT_BASE.format(data=data, loss=loss, extra="").replace("lambda = 0.1", "lambda = 1e-12")
         overflow = write(tmp_path, text, f"{loss}.ini")
         with np.errstate(over="ignore", invalid="ignore"):
             assert run_cli("fit", "--config", str(overflow), "--out", str(tmp_path / "f.csv")) == 2
         err = capsys.readouterr().err
-        assert "numerical failure: solve gave non-finite coefficients (n=2, lam=1e-12)" in err
+        assert f"numerical failure: {failure} (n=2, lam=1e-12)" in err
         assert "Traceback" not in err
         assert not (tmp_path / "f.csv").exists()
 
@@ -528,13 +553,28 @@ def test_cli_study_cells_whose_numbers_overflow_fail_alone(tmp_path, capsys, lev
 
 
 def test_cli_rejects_bad_sampler_parameters_as_config_error(tmp_path, capsys):
+    # the truncated Gaussian has one shape; its old centre and scale keys are unknown
     text = TINY_STUDY + "sampler = truncated_gaussian\nsampler_center = 5.0\n"
     cfg = write(tmp_path, text)
     out = tmp_path / "o.csv"
     assert run_cli("study", "--config", str(cfg), "--out", str(out)) == 1
     err = capsys.readouterr().err
     line = len(text.splitlines())
-    assert f"config error: {cfg}:{line}: sampler_center 5.0 outside domain" in err
+    assert f"config error: {cfg}:{line}: unknown key 'sampler_center' in [study]" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sampler", ["uniform", "truncated_gaussian"])
+def test_cli_rejects_a_domain_whose_width_overflows(tmp_path, capsys, sampler):
+    text = TINY_STUDY + f"sampler = {sampler}\ndomain = -1e308 1e308\n"
+    cfg = write(tmp_path, text)
+    out = tmp_path / "o.csv"
+    assert run_cli("study", "--config", str(cfg), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    line = len(text.splitlines())
+    assert f"config error: {cfg}:{line}: invalid indicator target: domain must be" in err
+    assert "of finite width" in err
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -129,23 +129,16 @@ def test_truncated_gaussian_sampler_stays_in_domain():
 
 @settings(max_examples=200, deadline=None)
 @given(
-    low=st.floats(-100.0, 100.0),
-    log_width=st.floats(-3.0, 2.0),
-    where=st.one_of(st.sampled_from(["low", "high"]), st.floats(0.0, 1.0)),
-    log_scale=st.floats(-3.0, 2.0),
+    low=st.one_of(st.floats(-100.0, 100.0), st.floats(-1e6, 1e6)),
+    log_width=st.floats(-9.0, 2.0),
     n=st.sampled_from([1, 2, 5120]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_truncated_gaussian_draws_are_bitwise_truncnorm(low, log_width, where, log_scale, n, seed):
+def test_truncated_gaussian_draws_are_bitwise_truncnorm(low, log_width, n, seed):
+    # far from 0, a narrow domain's midpoint rounds, so a and b are -2 and 2 only roughly
     high = low + 10.0**log_width
-    if where == "low":
-        center = low
-    elif where == "high":
-        center = high
-    else:
-        center = min(high, low + where * (high - low))
-    scale = 10.0**log_scale
-    X = truncated_gaussian_sampler((low, high), center, scale)(np.random.default_rng(seed), n)
+    X = truncated_gaussian_sampler((low, high))(np.random.default_rng(seed), n)
+    center, scale = 0.5 * (low + high), 0.25 * (high - low)
     a, b = (low - center) / scale, (high - center) / scale
     rng = np.random.default_rng(seed)
     expected = truncnorm.rvs(a, b, loc=center, scale=scale, size=(n, 1), random_state=rng)
@@ -154,10 +147,21 @@ def test_truncated_gaussian_draws_are_bitwise_truncnorm(low, log_width, where, l
 
 
 def test_truncated_gaussian_sampler_validation():
-    with pytest.raises(ValueError, match="center"):
-        truncated_gaussian_sampler((0.0, 1.0), center=2.0)
-    with pytest.raises(ValueError, match="scale"):
-        truncated_gaussian_sampler((0.0, 1.0), scale=0.0)
+    # the midpoint of a one-ulp domain rounds onto its low end
+    with pytest.raises(ValueError, match="midpoint strictly inside"):
+        truncated_gaussian_sampler((1.0, np.nextafter(1.0, 2.0)))
+    # the midpoint overflows
+    with pytest.raises(ValueError, match="midpoint strictly inside"):
+        truncated_gaussian_sampler((1e308, 1.5e308))
+    # width / 4 underflows to 0
+    with pytest.raises(ValueError, match="width / 4 > 0"):
+        truncated_gaussian_sampler((0.0, 1e-323))
+
+
+@pytest.mark.parametrize("factory", [uniform_sampler, truncated_gaussian_sampler])
+def test_samplers_reject_a_domain_whose_width_overflows(factory):
+    with pytest.raises(ValueError, match="domain must be .* of finite width"):
+        factory((-1e308, 1e308))
 
 
 def test_schedules():
@@ -195,10 +199,11 @@ def test_config_defaults():
         dict(grid_resolution=1),
         dict(sampler="poisson"),
         dict(target=lambda x: x),
-        dict(sampler="truncated_gaussian", sampler_center=5.0),
-        dict(sampler="truncated_gaussian", sampler_scale=0.0),
-        dict(sampler_center=0.3),
-        dict(sampler_scale=0.1),
+        # domains the truncated Gaussian cannot be centred on, or scaled to
+        dict(sampler="truncated_gaussian", target=SineWave(domain=(1.0, np.nextafter(1.0, 2.0)))),
+        dict(sampler="truncated_gaussian", target=SineWave(domain=(1e308, 1.5e308))),
+        dict(sampler="truncated_gaussian", target=SineWave(domain=(0.0, 1e-323))),
+        dict(sampler="gaussian"),
     ],
 )
 def test_config_validation(kw):

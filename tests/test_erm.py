@@ -98,35 +98,44 @@ def _overflow_ignored():
     return np.errstate(over="ignore", invalid="ignore")
 
 
+SPREAD = "outputs' spread max y - min y overflows"
+
+
 @pytest.mark.parametrize(
-    "solve,lam,context",
+    "solve,lam,context,message",
     [
         pytest.param(
-            lambda data, k, lam: fit_kernel_ridge(data, k, lam), 1e-12, _overflow_ignored, id="ridge"
+            lambda data, k, lam: fit_kernel_ridge(data, k, lam),
+            1e-12,
+            _overflow_ignored,
+            "solve gave non-finite coefficients",
+            id="ridge",
         ),
         # the outputs' spread overflows; that is caught before any arithmetic warns
         pytest.param(
             lambda data, k, lam: fit_pairwise(data, k, RankingSquaredLoss(), lam),
             1e-12,
             contextlib.nullcontext,
+            SPREAD,
             marks=pytest.mark.filterwarnings("error"),
             id="pairwise",
         ),
-        # the dual's alpha = u / (2 lam n) overflows only at a subnormal lam
+        # the same spread check runs before the dual solve starts
         pytest.param(
             lambda data, k, lam: fit_quantile(data, k, PinballLoss(0.5), lam),
             1e-320,
             _overflow_ignored,
+            SPREAD,
             id="quantile",
         ),
     ],
 )
-def test_non_finite_coefficients_are_a_numerical_error(solve, lam, context):
+def test_non_finite_coefficients_are_a_numerical_error(solve, lam, context, message):
     # outputs near the float limit overflow the solve; this is a numerical
     # failure that names n and lam, not an invalid RkhsFunction
     data = Dataset(np.array([[0.0], [0.001]]), np.array([1e308, -1e308]))
     with context():
-        with pytest.raises(NumericalError, match=rf"non-finite coefficients \(n=2, lam={lam!r}\)"):
+        with pytest.raises(NumericalError, match=rf"{message} \(n=2, lam={lam!r}\)"):
             solve(data, GaussianRBF(1.0), lam)
 
 
@@ -135,7 +144,7 @@ def test_non_finite_coefficients_are_a_numerical_error(solve, lam, context):
     "rows,loss,lam,gamma,message",
     [
         # the outputs' spread overflows, caught before the dual's start vertex
-        ("0.0,1e308\n0.001,-1e308\n", "absolute", 1e-12, 1.0, "solve gave non-finite coefficients"),
+        ("0.0,1e308\n0.001,-1e308\n", "absolute", 1e-12, 1.0, SPREAD),
         # finite coefficients whose objective overflows
         ("0.0,4e299\n0.5,-4e299\n", "ranking_squared", 0.5, 0.3, "fit gave a non-finite objective"),
         # finite outputs whose dual active-set step u += 2 lam n p overflows
