@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import logging
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -95,11 +96,15 @@ def _cmd_study(args) -> int:
 
 def _load_dataset(path, kernel) -> Dataset:
     try:
-        raw = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():  # an empty file is the config error below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            raw = np.loadtxt(path, delimiter=",", ndmin=2)
     except OSError as exc:
         raise ConfigError(f"cannot read dataset {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"malformed dataset {path}: {exc}") from None
+    if raw.shape[0] == 0:
+        raise ConfigError(f"dataset {path} has no rows")
     if raw.shape[1] < 2:
         raise ConfigError(f"dataset {path} needs at least two columns (features..., output)")
     try:

@@ -545,9 +545,9 @@ def fit_quantile(data: Dataset, kernel, loss, lam: float) -> tuple[RkhsFunction,
     outputs far below the rounding of f = K alpha can leave within the KKT
     tolerance, is replaced by alpha = 0 with a WARNING naming both
     objectives, so no fit is worse than the zero function; FitInfo then
-    describes alpha = 0.  Outputs whose spread max y - min y overflows, an
-    active-set step that overflows and an objective that overflows raise
-    NumericalError.
+    describes alpha = 0.  Outputs whose spread overflows, a lam so small that
+    max k(x, x) / (2 lam) + max |y| overflows, an active-set step and an
+    objective that overflow raise NumericalError before anything warns.
     """
     _check_lam(lam)
     if isinstance(loss, AbsoluteLoss):
@@ -560,7 +560,11 @@ def fit_quantile(data: Dataset, kernel, loss, lam: float) -> tuple[RkhsFunction,
     _check_spread(y, lam)
     K = gram_matrix(kernel, data.inputs)
     scale = 2.0 * pinball_lam * n
-    rounding = 16.0 * np.finfo(float).eps * float(K.diagonal().max()) / (2.0 * pinball_lam)
+    with np.errstate(divide="ignore", over="ignore"):  # |f| = |K u| / scale <= reach, as |u| <= 1
+        reach = float(K.diagonal().max() / (2.0 * pinball_lam))
+    if not np.isfinite(reach + float(np.abs(y).max())):  # then no f or residual below overflows
+        raise NumericalError(f"dual bound on |f| plus max |y| overflows (n={n}, lam={lam!r})")
+    rounding = 16.0 * np.finfo(float).eps * reach
     tol = float(_KKT_TOL * max(1.0, float(np.abs(y).max())) + rounding)
     u, steps = _dual_active_set(K, y, tau, scale, tol, lam)
     alpha = u / scale
@@ -595,7 +599,7 @@ def fit_quantile(data: Dataset, kernel, loss, lam: float) -> tuple[RkhsFunction,
         "dual active-set solve: %d steps, %d free points, duality gap %.3g",
         steps, int(np.count_nonzero((u > lo) & (u < hi))), gap,
     )
-    info = FitInfo(objective, objective_at_zero, steps, float(np.linalg.norm(kkt)), converged, gap)
+    info = FitInfo(objective, objective_at_zero, steps, float(np.hypot.reduce(kkt)), converged, gap)
     return f, info
 
 
@@ -625,8 +629,9 @@ def fit_pairwise(
     _check_spread(data.outputs, lam)
     yc = data.outputs - data.outputs[0]
     Z, _ = _shifted_solve(kernel, X, np.column_stack((yc, np.ones(n))), 0.5 * n * lam, lam)
-    b = Z[:, 0].sum() / Z[:, 1].sum()
-    alpha = Z[:, 0] - b * Z[:, 1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # _expansion checks alpha
+        b = Z[:, 0].sum() / Z[:, 1].sum()
+        alpha = Z[:, 0] - b * Z[:, 1]
     f = _expansion(kernel, X, alpha, lam)
     with np.errstate(over="ignore", invalid="ignore"):
         fvals = kernel_matvec(kernel, X, X, alpha)

@@ -190,12 +190,12 @@ class PairedSample:
         object.__setattr__(self, "weights", as_weights(self.weights, d.size))
 
 
-def paired_sample(f, g, pts, weights=None) -> PairedSample:
+def paired_sample(f, g, pts) -> PairedSample:
     """Evaluate two function handles on shared points and collect |f - g|.
 
     Handles take an (n, d) array and return (n,) values or (n, k) vectors;
-    vector outputs are reduced with the Euclidean norm per point.  Weights
-    default to uniform.
+    vector outputs are reduced with the Euclidean norm per point.  The
+    points weigh uniformly.
     """
     X = as_points(pts, "pts")
     fv = np.asarray(f(X), dtype=float)
@@ -204,9 +204,7 @@ def paired_sample(f, g, pts, weights=None) -> PairedSample:
         raise ValueError(f"function outputs disagree: {fv.shape} vs {gv.shape} on {X.shape[0]} points")
     diff = fv - gv
     dist = np.abs(diff) if diff.ndim == 1 else np.sqrt((diff * diff).sum(axis=1))
-    if weights is None:
-        weights = np.full(X.shape[0], 1.0 / X.shape[0])
-    return PairedSample(dist, weights)
+    return PairedSample(dist, np.full(X.shape[0], 1.0 / X.shape[0]))
 
 
 def psi_metric(psi, sample: PairedSample) -> float:

@@ -61,16 +61,16 @@ def as_points(x, name: str = "points") -> np.ndarray:
     return arr
 
 
-def as_weights(w, n: int, name: str = "weights") -> np.ndarray:
+def as_weights(w, n: int) -> np.ndarray:
     """Coerce to a length-n probability vector (nonnegative, sums to 1)."""
     arr = np.asarray(w, dtype=float)
     if arr.shape != (n,):
-        raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
+        raise ValueError(f"weights must have shape ({n},), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
+        raise ValueError("weights must be finite")
     if np.any(arr < 0.0):
-        raise ValueError(f"{name} must be nonnegative")
+        raise ValueError("weights must be nonnegative")
     total = float(arr.sum())
     if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"{name} must sum to 1 within 1e-12, got {total!r}")
+        raise ValueError(f"weights must sum to 1 within 1e-12, got {total!r}")
     return arr

@@ -798,3 +798,58 @@ def test_cli_report_summarizes_study_csv(tmp_path, capsys):
     assert "(ok)" in text
     assert "d_psi decay from n=4 to n=8" in text
     assert capsys.readouterr().out == text
+
+
+HEADER = "n,replicate,d_psi,ky_fan,sup_gap,l1_gap,risk_gap\n"
+SUMMARY_HEADER = "n  replicates  mean_d_psi  mean_ky_fan  mean_sup_gap  mean_l1_gap"
+
+
+@pytest.mark.parametrize(
+    "command,content,code,expected",
+    [
+        # report: the input CSV is unreadable, empty, or malformed
+        ("report", None, 1, ["cannot read report CSV {path}: "]),
+        ("report", "", 1, ["{path}: empty report CSV"]),
+        ("report", "n,replicate\n", 1, ["{path}: unexpected CSV header ['n', 'replicate']"]),
+        ("report", HEADER + "4,0,0.1\n", 1, ["{path}:2: expected 7 fields, got 3"]),
+        ("report", HEADER + "4,zero,0.1,0.1,0.1,0.1,0.1\n", 1, ["{path}:2: malformed row: "]),
+        # report: a CSV without cells, and one whose every cell failed
+        ("report", HEADER, 0, ["empty report"]),
+        (
+            "report",
+            HEADER + "4,0,nan,nan,nan,nan,nan\n4,1,nan,nan,nan,nan,nan\n",
+            0,
+            [SUMMARY_HEADER, "4  0  all cells failed", "failed cells: 2"],
+        ),
+        # fit: the dataset is missing, empty, or has no output column
+        ("fit", None, 1, ["cannot read dataset {path}: "]),
+        ("fit", "", 1, ["dataset {path} has no rows"]),
+        ("fit", "0.0\n1.0\n", 1, ["dataset {path} needs at least two columns (features..., output)"]),
+    ],
+    ids=[
+        "report-unreadable", "report-empty", "report-header", "report-fields", "report-row",
+        "report-no-cells", "report-all-failed",
+        "fit-missing", "fit-empty", "fit-one-column",
+    ],
+)
+def test_cli_report_and_dataset_inputs(tmp_path, capsys, command, content, code, expected):
+    # a bad input is one config error line on stderr and no output; a report
+    # without finite cells still summarizes
+    path = tmp_path / "input.csv"
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    cfg = path
+    if command == "fit":
+        cfg = write(tmp_path, FIT_BASE.format(data=path, loss="squared", extra=""))
+    out = tmp_path / "out.txt"
+    assert run_cli(command, "--config", str(cfg), "--out", str(out)) == code
+    printed = capsys.readouterr()
+    lines = [line.format(path=path) for line in expected]
+    if code == 1:
+        assert printed.err.startswith(f"config error: {lines[0]}"), printed.err
+        assert printed.err.count("\n") == 1, printed.err
+        assert not out.exists()
+    else:
+        assert printed.err == ""
+        assert out.read_text().splitlines() == lines
+        assert printed.out == out.read_text()

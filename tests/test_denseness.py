@@ -127,6 +127,13 @@ def test_truncated_gaussian_sampler_stays_in_domain():
     assert X.min() >= 0.0 and X.max() <= 1.0
 
 
+# the largest distance measured over these input ranges was 11 ulps (about 28 000
+# domains, one draw of up to 5120 points each, most near the symmetric domains
+# where the bound is tightest); the tails of the inverse CDF amplify the rounding
+# of both constructions
+_TRUNCNORM_ULPS = 16
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     low=st.one_of(st.floats(-100.0, 100.0), st.floats(-1e6, 1e6)),
@@ -134,7 +141,7 @@ def test_truncated_gaussian_sampler_stays_in_domain():
     n=st.sampled_from([1, 2, 5120]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_truncated_gaussian_draws_are_bitwise_truncnorm(low, log_width, n, seed):
+def test_truncated_gaussian_draws_are_close_to_truncnorm(low, log_width, n, seed):
     # far from 0, a narrow domain's midpoint rounds, so a and b are -2 and 2 only roughly
     high = low + 10.0**log_width
     X = truncated_gaussian_sampler((low, high))(np.random.default_rng(seed), n)
@@ -143,19 +150,23 @@ def test_truncated_gaussian_draws_are_bitwise_truncnorm(low, log_width, n, seed)
     rng = np.random.default_rng(seed)
     expected = truncnorm.rvs(a, b, loc=center, scale=scale, size=(n, 1), random_state=rng)
     assert X.shape == (n, 1)
-    assert np.array_equal(X, expected)
+    assert X.min() >= low and X.max() <= high
+    ulp = np.spacing(max(abs(low), abs(high)))
+    assert np.abs(X - expected).max() <= _TRUNCNORM_ULPS * ulp
 
 
 def test_truncated_gaussian_sampler_validation():
-    # the midpoint of a one-ulp domain rounds onto its low end
-    with pytest.raises(ValueError, match="midpoint strictly inside"):
-        truncated_gaussian_sampler((1.0, np.nextafter(1.0, 2.0)))
-    # the midpoint overflows
-    with pytest.raises(ValueError, match="midpoint strictly inside"):
-        truncated_gaussian_sampler((1e308, 1.5e308))
-    # width / 4 underflows to 0
-    with pytest.raises(ValueError, match="width / 4 > 0"):
-        truncated_gaussian_sampler((0.0, 1e-323))
+    # the sampler rejects only what _check_domain rejects: it draws inside any
+    # finite domain of finite width, including these edge cases
+    domains = [
+        (1.0, np.nextafter(1.0, 2.0)),  # the midpoint rounds onto an end
+        (1e308, 1.5e308),  # low + high overflows
+        (0.0, 1e-323),  # width / 4 underflows to 0
+    ]
+    for low, high in domains:
+        X = truncated_gaussian_sampler((low, high))(np.random.default_rng(0), 1000)
+        assert X.shape == (1000, 1)
+        assert X.min() >= low and X.max() <= high
 
 
 @pytest.mark.parametrize("factory", [uniform_sampler, truncated_gaussian_sampler])
@@ -199,10 +210,9 @@ def test_config_defaults():
         dict(grid_resolution=1),
         dict(sampler="poisson"),
         dict(target=lambda x: x),
-        # domains the truncated Gaussian cannot be centred on, or scaled to
-        dict(sampler="truncated_gaussian", target=SineWave(domain=(1.0, np.nextafter(1.0, 2.0)))),
-        dict(sampler="truncated_gaussian", target=SineWave(domain=(1e308, 1.5e308))),
-        dict(sampler="truncated_gaussian", target=SineWave(domain=(0.0, 1e-323))),
+        dict(sample_sizes=(0, 8)),
+        dict(seed=-1),
+        dict(lambda_coeff=float("nan")),
         dict(sampler="gaussian"),
     ],
 )

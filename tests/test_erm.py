@@ -149,8 +149,10 @@ def test_non_finite_coefficients_are_a_numerical_error(solve, lam, context, mess
         ("0.0,4e299\n0.5,-4e299\n", "ranking_squared", 0.5, 0.3, "fit gave a non-finite objective"),
         # finite outputs whose dual active-set step u += 2 lam n p overflows
         ("0.698,-1.3e306\n0.314,-6e305\n", "absolute", 1000.0, 2.2, "dual active-set step is not finite"),
+        # a penalty so small that alpha = u / (lam n) and f = K alpha overflow
+        ("0.0,1.0\n1.0,-1.0\n", "absolute", 1e-320, 1.0, "dual bound on |f| plus max |y| overflows"),
     ],
-    ids=["absolute", "ranking", "active-set-step"],
+    ids=["absolute", "ranking", "active-set-step", "tiny-lambda"],
 )
 def test_cli_fit_never_exits_0_with_a_non_finite_objective(tmp_path, capsys, rows, loss, lam, gamma, message):
     data = tmp_path / "d.csv"
@@ -174,7 +176,7 @@ def test_cli_fit_never_exits_0_with_a_non_finite_objective(tmp_path, capsys, row
     scale=st.floats(-300.0, 307.5).map(lambda e: 10.0**e),
     loss=st.sampled_from(["squared", "absolute", "pinball", "ranking_squared"]),
     tau=st.floats(0.01, 0.99),
-    lam=st.floats(-15.0, 3.0).map(lambda e: 10.0**e),
+    lam=st.floats(-323.0, 3.0).map(lambda e: 10.0**e),
     gamma=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -185,7 +187,7 @@ def test_cli_fit_at_every_output_scale_exits_cleanly(tmp_path, capsys, n, scale,
     x = rng.uniform(0.0, 1.0, n)
     y = np.clip(rng.normal(size=n) * scale, -1.7e308, 1.7e308)
     data, cfg, out = tmp_path / "d.csv", tmp_path / "fit.ini", tmp_path / "f.csv"
-    data.write_text("".join(f"{a!r},{b!r}\n" for a, b in zip(x, y)))
+    data.write_text("".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist())))
     cfg.write_text(
         f"[fit]\ndata = {data}\nloss = {loss}\nlambda = {lam!r}\n"
         + (f"tau = {tau!r}\n" if loss == "pinball" else "")
