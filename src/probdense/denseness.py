@@ -52,6 +52,26 @@ _SCHEDULE_EXPONENT = -1.0 / 3.0
 # Phi(-2), the standard normal mass below -2: the truncated Gaussian's lower cut
 _PHI_MINUS_2 = 0.5 * math.erfc(math.sqrt(2.0))
 
+# Wichura's AS241 (PPND16, Applied Statistics 37, 1988): the numerator and
+# denominator coefficients, highest degree first, of its central branch
+# (|p - 0.5| <= 0.425, in r = 0.180625 - (p - 0.5)^2) and of its first tail
+# branch (in r = sqrt(-log min(p, 1 - p)) - 1.6, which holds for r + 1.6 <= 5,
+# i.e. min(p, 1 - p) >= 1.4e-11)
+_AS241 = np.array((
+    (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
+     4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
+     1.3314166789178437745e2, 3.3871328727963666080e0),
+    (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
+     2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
+     4.2313330701600911252e1, 1.0),
+    (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+     1.27045825245236838258e0, 3.64784832476320460504e0, 5.76949722146069140550e0,
+     4.63033784615654529590e0, 1.42343711074968357734e0),
+    (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+     1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e0,
+     2.05319162663775882187e0, 1.0),
+))
+
 
 def _check_domain(domain) -> tuple[float, float]:
     low, high = float(domain[0]), float(domain[1])
@@ -171,6 +191,11 @@ class SineWave:
         object.__setattr__(self, "domain", (low, high))
         if not (np.isfinite(self.frequency) and self.frequency > 0.0):
             raise ValueError(f"frequency must be positive, got {self.frequency!r}")
+        if not math.isfinite(2.0 * np.pi * float(self.frequency) * max(abs(low), abs(high))):
+            raise ValueError(
+                f"domain [{low}, {high}] at frequency {self.frequency!r} overflows the phase "
+                "2 pi frequency x"
+            )
 
     @property
     def discontinuities(self) -> tuple:
@@ -190,23 +215,37 @@ def uniform_sampler(domain):
     return sample
 
 
+def _normal_quantile(p: np.ndarray) -> np.ndarray:
+    """Inverse standard normal CDF by AS241's central and first tail branches.
+
+    Valid for min(p, 1 - p) >= 1.4e-11; the sampler's p lie in [Phi(-2), Phi(2)].
+    """
+    q = p - 0.5
+    r = np.empty((4, p.size))
+    r[:2] = 0.180625 - q * q
+    r[2:] = np.sqrt(-np.log(np.minimum(p, 1.0 - p))) - 1.6
+    # the four polynomials of both branches by one Horner pass, in place
+    y = np.repeat(_AS241[:, :1], p.size, axis=1)
+    for column in _AS241.T[1:, :, None]:
+        y *= r
+        y += column
+    return np.where(np.abs(q) <= 0.425, q * y[0] / y[1], np.copysign(y[2] / y[3], q))
+
+
 def truncated_gaussian_sampler(domain):
     """Sampler drawing from N(mid, (width/4)^2) truncated to the domain interval.
 
     Each draw inverts the normal CDF between the masses below -2 and +2 sigma:
-    mid + (width/4) * ndtri(Phi(-2) + q * (1 - 2 Phi(-2))) for one uniform q of
-    the Generator, clipped to the domain against rounding at its ends.
+    mid + (width/4) * Phi^-1(Phi(-2) + q * (1 - 2 Phi(-2))) for one uniform q
+    of the Generator, clipped to the domain against rounding at its ends.
+    Phi^-1 is _normal_quantile, the numpy port of AS241.
     """
     low, high = _check_domain(domain)
     c, s = low + 0.5 * (high - low), 0.25 * (high - low)
 
     def sample(rng: np.random.Generator, n: int) -> np.ndarray:
-        # imported here, so that a study with another sampler, and the parse of
-        # any study config, never loads scipy.special
-        from scipy.special import ndtri
-
         q = rng.uniform(size=n)
-        z = ndtri(_PHI_MINUS_2 + q * (1.0 - 2.0 * _PHI_MINUS_2))
+        z = _normal_quantile(_PHI_MINUS_2 + q * (1.0 - 2.0 * _PHI_MINUS_2))
         return np.clip(c + s * z, low, high).reshape(n, 1)
 
     return sample

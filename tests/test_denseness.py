@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 from scipy.stats import truncnorm
 
 from probdense import (
@@ -71,6 +72,18 @@ def test_sine_wave_values():
     assert out[0] == 1.0
     assert out[1] == 0.0
     assert f.discontinuities == ()
+
+
+@pytest.mark.parametrize(
+    "frequency, domain", [(1.0, (1e308, 1.5e308)), (1.0, (-1e308, 0.0)), (1e308, (0.0, 1.0))]
+)
+def test_sine_wave_rejects_a_phase_that_overflows(frequency, domain):
+    # 2 pi frequency x must be finite on the whole domain, or the target's values are not
+    with pytest.raises(ValueError, match=r"^domain .* overflows the phase"):
+        SineWave(frequency, domain)
+    # the largest finite phase is accepted, and sin of it is finite
+    f = SineWave(1.0, (0.0, 1e307))
+    assert np.isfinite(f([0.0, 1e307])).all()
 
 
 def test_piecewise_constant_levels_and_jumps():
@@ -153,6 +166,37 @@ def test_truncated_gaussian_draws_are_close_to_truncnorm(low, log_width, n, seed
     assert X.min() >= low and X.max() <= high
     ulp = np.spacing(max(abs(low), abs(high)))
     assert np.abs(X - expected).max() <= _TRUNCNORM_ULPS * ulp
+
+
+# p in the sampler's range [Phi(-2), Phi(2)], both ends, and the AS241 branch
+# switch |p - 0.5| = 0.425 with its neighbours on either side
+_P_LOW, _P_HIGH = denseness_mod._PHI_MINUS_2, 1.0 - denseness_mod._PHI_MINUS_2
+_P_SWITCHES = (0.5 - 0.425, 0.5 + 0.425)
+_P_EDGES = [_P_LOW, _P_HIGH, np.nextafter(_P_LOW, 1.0), np.nextafter(_P_HIGH, 0.0), 0.5] + [
+    v for s in _P_SWITCHES for v in (np.nextafter(s, 0.0), s, np.nextafter(s, 1.0))
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.lists(st.floats(_P_LOW, _P_HIGH), min_size=1, max_size=64))
+def test_normal_quantile_is_close_to_ndtri(p):
+    # within 4 ulps of 2 of scipy's ndtri (3 measured over 20 M uniform p)
+    p = np.array(p + _P_EDGES)
+    assert np.abs(denseness_mod._normal_quantile(p) - ndtri(p)).max() <= 4 * np.spacing(2.0)
+
+
+def test_normal_quantile_is_monotone_and_zero_at_the_median():
+    # grids spaced well above the rounding, plus the switch's ulp neighbours:
+    # elsewhere, at single-ulp steps of p, the rounding of the rational
+    # functions can step z back by a few ulps
+    grid = np.sort(
+        np.concatenate(
+            [np.linspace(_P_LOW, _P_HIGH, 1_000_001), _P_EDGES]
+            + [np.linspace(s - 1e-9, s + 1e-9, 20_001) for s in _P_SWITCHES]
+        )
+    )
+    assert (np.diff(denseness_mod._normal_quantile(grid)) >= 0.0).all()
+    assert denseness_mod._normal_quantile(np.array([0.5]))[0] == 0.0
 
 
 def test_truncated_gaussian_sampler_validation():
