@@ -201,6 +201,11 @@ def _at_radius(rng, centers, radius, k, d):
     return (c + (1.0 + k * 2.0**-52) * u) * radius
 
 
+def _local_bound(X, C, a, radius):
+    """512 eps times sum |a_i| over the centres within scaled distance 2 of each point."""
+    return 512 * np.finfo(float).eps * ((np.abs(X / radius - (C / radius).T) < 2.0) @ np.abs(a))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     radius=st.sampled_from([0.05, 0.1, 0.3, 1.0 / 3.0, 1.0, 2.5]),
@@ -236,15 +241,95 @@ def test_wendland_matvec_skips_only_zero_columns(
         permuted = kernels_mod.kernel_matvec(k, X[perm], C, a)
         # one unit coefficient makes each sum exact: a skipped column with a
         # nonzero value, however small, would read 0 instead of K[:, j]
-        columns = [kernels_mod.kernel_matvec(k, X, C, e) for e in np.eye(len(C))]
+        columns = [kernels_mod.kernel_matvec(k, X, C, e) for e in np.eye(len(C)) if d > 1]
     finally:
         kernels_mod._BLOCK_ENTRIES = saved
-    assert np.all(np.abs(fa - K @ a) <= 1e-12 * (np.abs(K) @ np.abs(a)))
+    if d == 1:
+        # the piecewise quintic cancels near the edge of every support, so its
+        # error is bounded by the coefficients within scaled distance 2 only
+        assert np.all(np.abs(fa - K @ a) <= _local_bound(X, C, a, radius))
+    else:
+        assert np.all(np.abs(fa - K @ a) <= 1e-12 * (np.abs(K) @ np.abs(a)))
+        assert np.array_equal(np.column_stack(columns), K)
     outside = ~K.any(axis=1)
     assert outside.sum() >= 1
     assert np.all(fa[outside] == 0.0)
     assert np.array_equal(permuted, fa[perm])
-    assert np.array_equal(np.column_stack(columns), K)
+
+
+@pytest.mark.parametrize(
+    "radius, centres",
+    [
+        (1e-150, np.random.default_rng(41).uniform(0.0, 1.0, 50)),
+        # scaled unit spacing: x' +- 1 is the next centre, at distance exactly 1
+        (1.0, 2.0**52 + np.arange(8.0)),
+        # x' +- 1 rounds to x'
+        (1.0, 2.0**53 + 2.0 * np.arange(8.0)),
+        # neighbouring doubles, 256 apart
+        (2.0**-40, 2.0**-40 * (2.0**60 + 256.0 * np.arange(8.0))),
+    ],
+)
+def test_wendland_line_at_huge_scaled_coordinates(radius, centres):
+    # every centre lies outside every other's support, so a point on a centre
+    # gets exactly that centre's coefficient and any other point exactly 0
+    rng = np.random.default_rng(42)
+    k = WendlandC2(radius)
+    C = centres[:, None]
+    a = rng.normal(size=C.shape[0])
+    X = np.concatenate([C, (C[:-1] + C[1:]) / 2.0])[rng.permutation(2 * C.shape[0] - 1)]
+    fa = kernels_mod.kernel_matvec(k, X, C, a)
+    K = kernels_mod.pairwise(k, X, C)
+    assert np.array_equal(fa, K @ a)
+    on = (X == C.T).any(axis=1)
+    assert np.array_equal(fa[on], a[(X[on] == C.T).argmax(axis=1)])
+    assert np.all(fa[~on] == 0.0)
+
+
+def test_wendland_line_with_dense_anchors_matches_pairwise():
+    # 1e4 scaled units hold 2000 centres: most anchors see no centre at all
+    rng = np.random.default_rng(43)
+    k = WendlandC2(1e-4)
+    C = rng.uniform(0.0, 1.0, (2000, 1))
+    a = rng.normal(size=2000)
+    X = rng.uniform(0.0, 1.0, (20000, 1))
+    fa = kernels_mod.kernel_matvec(k, X, C, a)
+    for rows in np.array_split(np.arange(20000), 10):
+        K = kernels_mod.pairwise(k, X[rows], C)
+        assert np.all(np.abs(fa[rows] - K @ a) <= _local_bound(X[rows], C, a, k.support_radius))
+        assert np.all(fa[rows][~K.any(axis=1)] == 0.0)
+
+
+def test_wendland_line_keeps_huge_coefficients_finite():
+    # tables scaled by a power of two: no overflow (a RuntimeWarning is an
+    # error here) where the direct sum stays finite
+    rng = np.random.default_rng(44)
+    k = WendlandC2(0.2)
+    C = rng.uniform(0.0, 1.0, (30, 1))
+    a = rng.choice([-1e306, 1e306], size=30)
+    X = np.concatenate([rng.uniform(0.0, 1.0, (500, 1)), C])
+    fa = kernels_mod.kernel_matvec(k, X, C, a)
+    direct = kernels_mod.pairwise(k, X, C) @ a
+    assert np.all(np.isfinite(direct))
+    assert np.all(np.isfinite(fa))
+    assert np.all(np.abs(fa - direct) <= _local_bound(X, C, a, k.support_radius))
+
+
+@pytest.mark.parametrize("points, anchors", [(7, 2), (4096, 512), (1 << 13, 1 << 10)])
+def test_wendland_line_point_values_ignore_the_batch(monkeypatch, points, anchors):
+    monkeypatch.setattr(kernels_mod, "_CHUNK_POINTS", points)
+    monkeypatch.setattr(kernels_mod, "_CHUNK_ANCHORS", anchors)
+    rng = np.random.default_rng(45)
+    k = WendlandC2(0.05)
+    C = rng.uniform(0.0, 1.0, (80, 1))
+    C = np.concatenate([C, C[:5]])
+    a = rng.normal(size=C.shape[0])
+    X = rng.uniform(-0.1, 1.1, (60, 1))
+    batch = np.concatenate([X, C, rng.uniform(-0.1, 1.1, (3000, 1))])
+    perm = rng.permutation(batch.shape[0])
+    values = np.empty(batch.shape[0])
+    values[perm] = kernels_mod.kernel_matvec(k, batch[perm], C, a)
+    alone = np.array([kernels_mod.kernel_matvec(k, x[None, :], C, a)[0] for x in batch[:100]])
+    assert alone.tobytes() == values[:100].tobytes()
 
 
 @settings(max_examples=80, deadline=None)
@@ -280,7 +365,12 @@ def test_wendland_scaled_path_is_one_arithmetic(radius, d, n, m, block, seed):
     assert np.array_equal(K, _sqdist_formula(k, X, C))
     assert all(G[i, j] == eval_kernel(k, X[i], X[j]) for i in range(n) for j in range(n))
     assert all(K[i, j] == eval_kernel(k, X[i], C[j]) for i in range(n) for j in range(m))
-    np.testing.assert_allclose(fa, K @ a, rtol=0, atol=1e-12 * (np.abs(K) @ np.abs(a)).max())
+    if d == 1:
+        # absolute, as in test_wendland_matvec_skips_only_zero_columns: one
+        # point near the edges of its supports has a tiny |K| |a|
+        assert np.all(np.abs(fa - K @ a) <= _local_bound(X, C, a, radius))
+    else:
+        np.testing.assert_allclose(fa, K @ a, rtol=0, atol=1e-12 * (np.abs(K) @ np.abs(a)).max())
 
 
 def test_kernel_matvec_checks_coefficient_shape():
