@@ -439,10 +439,7 @@ def _wendland_line(x: np.ndarray, C: np.ndarray, a: np.ndarray) -> np.ndarray:
         chunk = order[start : start + _CHUNK_POINTS]
         xc = x[chunk]
         o = np.rint(xc)
-        new = np.empty(xc.size, dtype=bool)
-        new[0] = True
-        np.not_equal(o[1:], o[:-1], out=new[1:])
-        firsts = np.flatnonzero(new)
+        firsts = np.flatnonzero(np.concatenate(([True], o[1:] != o[:-1])))
         if firsts.size > _CHUNK_ANCHORS:
             # stop before the point that opens one anchor too many
             stop = firsts[_CHUNK_ANCHORS]

@@ -285,14 +285,25 @@ def test_wendland_line_at_huge_scaled_coordinates(radius, centres):
     assert np.all(fa[~on] == 0.0)
 
 
-def test_wendland_line_with_dense_anchors_matches_pairwise():
+def test_wendland_line_with_dense_anchors_matches_pairwise(monkeypatch):
     # 1e4 scaled units hold 2000 centres: most anchors see no centre at all
     rng = np.random.default_rng(43)
     k = WendlandC2(1e-4)
     C = rng.uniform(0.0, 1.0, (2000, 1))
     a = rng.normal(size=2000)
     X = rng.uniform(0.0, 1.0, (20000, 1))
+    real, sizes = kernels_mod._anchor_tables, []
+
+    def recorded(anchors, *args):
+        table = real(anchors, *args)
+        sizes.append((anchors.size, table[0].shape[1] - 1))
+        return table
+
+    monkeypatch.setattr(kernels_mod, "_anchor_tables", recorded)
     fa = kernels_mod.kernel_matvec(k, X, C, a)
+    # tables only for the anchors that hold points, each centre in at most three windows
+    assert all(columns <= 3 * 2000 + anchors for anchors, columns in sizes)
+    assert sum(anchors for anchors, _ in sizes) == np.unique(np.rint(X / k.support_radius)).size
     for rows in np.array_split(np.arange(20000), 10):
         K = kernels_mod.pairwise(k, X[rows], C)
         assert np.all(np.abs(fa[rows] - K @ a) <= _local_bound(X[rows], C, a, k.support_radius))
