@@ -7,11 +7,14 @@ expansions are evaluated without holding the full kernel matrix.  The
 Gaussian takes squared distances and divides them by gamma^2; the Wendland
 kernel divides the coordinates by its support radius once per call and
 takes scaled distances r = |x' - c'| (1-D) or sqrt(sum (x' - c')^2).  A 1-D
-Wendland expansion is evaluated as a piecewise quintic instead: per
-anchor, prefix sums of its terms' Taylor coefficients, so the work per
-point does not grow with the number of centres, and the result agrees
-with ``pairwise(k, X, C) @ a`` to an absolute bound, exactly 0 outside
-every support.  In d > 1 a Wendland expansion evaluates, per row block,
+Wendland expansion is evaluated as a piecewise quintic instead: between
+consecutive support events it is one quintic, whose Taylor coefficients
+about both ends of the piece come from double-double running sums of the
+coefficients' powers, and each point takes Horner's rule about the nearer
+end.  The work per point does not grow with the number of centres, the
+result agrees with ``pairwise(k, X, C) @ a`` to rounding relative to
+sum |a_i k(x, c_i)|, and it is exactly 0 outside every support.  In d > 1
+a Wendland expansion evaluates, per row block,
 only the centres whose first scaled coordinate lies within 1 of the
 block's rows: the skipped columns are exactly zero, but the sum runs in
 sorted order, so it agrees with ``pairwise(k, X, C) @ a`` to rounding and
@@ -274,22 +277,113 @@ def pairwise(k, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 # The Wendland kernel in scaled 1-D coordinates: phi(t) = (1 - t)^4 (4t + 1) =
 # 1 - 10t^2 + 20t^3 - 15t^4 + 4t^5 on [0, 1).  For a point x with anchor
-# o = rint(x), u = x - o and a centre c with w = c - o, a term left of x
+# o = floor(x), u = x - o and a centre c with w = c - o, a term left of x
 # (c <= x) is phi(u - w) = sum_j u^j g_j(-w) and a term right of it is
-# phi(w - u) = sum_j u^j (-1)^j g_j(w), with g_j = phi^(j) / j!.  Row i of
-# _TAYLOR holds the coefficients of w^i in g_0 .. g_5.
+# phi(w - u) = sum_j u^j (-1)^j g_j(w), with g_j = phi^(j) / j! =
+# sum_k _TAYLOR[k, j] w^k.  Over left centres L and right centres R the
+# coefficient of u^j is therefore
+#   G_j = sum_k _TAYLOR[k, j] (-1)^k (sum_L a w^k + (-1)^(j + k) sum_R a w^k).
 _PHI = (1.0, 0.0, -10.0, 20.0, -15.0, 4.0)
 _TAYLOR = np.array(
-    [[math.comb(i + j, j) * _PHI[i + j] if i + j < 6 else 0.0 for j in range(6)] for i in range(6)]
-)[:, :, None]
-_SIGN = np.array([1.0, -1.0] * 3)[:, None]  # (-1)^j
+    [[math.comb(k + j, j) * _PHI[k + j] if k + j < 6 else 0.0 for j in range(6)] for k in range(6)]
+)
+_SIGNED_TAYLOR = _TAYLOR * np.array([1.0, -1.0] * 3)[:, None]  # (-1)^k _TAYLOR[k, j]
+# the 21 products _SIGNED_TAYLOR[k, j] X[(j + k) % 2, k], j + k <= 5, in
+# blocks of equal k; row (j + k) % 2 * 6 + k of the stacked (12, pieces) X
+_TERM_K, _TERM_J = (np.array(v) for v in zip(*[(k, j) for k in range(6) for j in range(6 - k)]))
+_TERM_ROW = (_TERM_J + _TERM_K) % 2 * 6 + _TERM_K
+_TERM_FACTOR = _SIGNED_TAYLOR[_TERM_K, _TERM_J][:, None]
+_TERM_BLOCKS = np.cumsum([0] + [6 - k for k in range(6)])
+# _BINOMIAL[j, k] = C(k, j): about v, sum_k G_k u^k has coefficients
+# sum_k C(k, j) v^(k - j) G_k of (u - v)^j
+_BINOMIAL = np.array([[math.comb(k, j) for k in range(6)] for j in range(6)], dtype=float)
 
-# A 1-D Wendland evaluation takes its sorted points in chunks of at most
-# _CHUNK_POINTS points (each point-length buffer is 64 KiB) and
-# _CHUNK_ANCHORS anchors, so that a chunk's tables and interval
-# coefficients hold at most 3 * len(C) + 1024 rows.
-_CHUNK_POINTS = _BLOCK_ENTRIES // 8
-_CHUNK_ANCHORS = _CHUNK_POINTS // 8
+# A 1-D Wendland evaluation takes its sorted points in groups: a group's
+# anchors keep their tables (anchors times the widest window) within
+# _GROUP_CELLS cells, one anchor at least, and it holds at most
+# _GROUP_PIECES pieces.  Its points are evaluated _CHUNK_POINTS at a time.
+_GROUP_CELLS = _BLOCK_ENTRIES // 32
+_GROUP_PIECES = _BLOCK_ENTRIES // 64
+_CHUNK_POINTS = _BLOCK_ENTRIES // 4
+# Coefficients are scaled by 2^-e so that their largest magnitude in each
+# window is below 2^_SCALE_BITS, small enough that no double-double sum or
+# split overflows; e = 0 for all but huge coefficients.
+_SCALE_BITS = 900
+
+# Double-double arithmetic: a value is an unevaluated pair hi + lo of
+# doubles (Dekker 1971; Knuth's TwoSum).  The 1-D Wendland sums are formed in
+# it, because their Taylor coefficients cancel near the edge of every
+# support, and rounded to doubles once per coefficient.
+_SPLIT = 134217729.0  # 2^27 + 1: halves of 26 and 27 bits, whose products are exact
+
+
+def _split(x, splitter=_SPLIT):
+    """(hi, lo) with hi + lo == x exactly (Veltkamp); hi has 53 - log2(splitter - 1) bits."""
+    c = splitter * x
+    hi = c - x
+    np.subtract(c, hi, out=hi)
+    np.subtract(x, hi, out=c)
+    return hi, c
+
+
+def _integer_halves(xh, xl, bits):
+    """The pair xh + xl as a high part of 53 - bits bits and the rest.
+
+    Times an integer below 2^bits the high part is exact and the rest
+    rounds at 2^(bits - 106) of |xh|, so such products need no TwoProduct.
+    """
+    hi, lo = _split(xh, 2.0**bits + 1.0)
+    lo += xl
+    return hi, lo
+
+
+def _add(xh, xl, yh, yl):
+    """The pair (xh + xl) + (yh + yl), with the exact error of xh + yh (TwoSum)."""
+    s = xh + yh
+    v = s - xh
+    e = s - v
+    np.subtract(xh, e, out=e)
+    np.subtract(yh, v, out=v)
+    e += v
+    e += xl
+    e += yl
+    return s, e
+
+
+def _sub(xh, xl, yh, yl):
+    """The pair (xh + xl) - (yh + yl)."""
+    return _add(xh, xl, -yh, -yl)
+
+
+def _mul(xh, xl, y, halves, out=None):
+    """The pair (xh + xl) * y, for a double y with halves = _split(y) (Dekker)."""
+    p, e = (None, None) if out is None else out
+    p = np.multiply(xh, y, out=p)
+    hi, lo = _split(xh)
+    e = np.multiply(hi, halves[0], out=e)
+    e -= p
+    hi *= halves[1]
+    e += hi
+    np.multiply(lo, halves[0], out=hi)
+    e += hi
+    lo *= halves[1]
+    e += lo
+    np.multiply(xl, y, out=lo)
+    e += lo
+    return p, e
+
+
+def _mul_add(xh, xl, y, halves, zh, zl):
+    """xh, xl = (xh + xl) * y + (zh + zl) in place: one Horner step in y."""
+    p, e = _mul(xh, xl, y, halves)
+    np.add(p, zh, out=xh)
+    v = xh - p
+    t = xh - v
+    np.subtract(p, t, out=t)
+    np.subtract(zh, v, out=v)
+    t += v  # xh + t == p + zh exactly
+    np.add(e, t, out=xl)
+    xl += zl
 
 
 def _support_events(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -319,136 +413,183 @@ def _support_events(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return enter, leave
 
 
-def _segmented_scan(P: np.ndarray, pos: np.ndarray, longest: int) -> None:
-    """Running sums along the columns of P, in place, restarting at every segment.
+def _sorted_distinct(v: np.ndarray) -> np.ndarray:
+    """The distinct values of v, sorted (np.unique would import numpy.ma, about 1 MiB)."""
+    v = np.sort(v)
+    return v[np.concatenate(([True], v[1:] != v[:-1]))]
 
-    pos is each column's distance from its segment's first column.
-    Hillis-Steele doubling, so the rounding of a column depends only on its
-    segment, not on where the segment sits in P.
+
+def _power_tables(anchors, first, last, C, a):
+    """Running sums of a w^k, k = 0 .. 5, over each anchor's window, as pairs.
+
+    The window of anchor o is C[first:last], the centres within computed
+    distance 1 of some x with floor(x) = o, and w = C - o.  Entry [k, p, q]
+    is the sum over the first q centres of anchor p's window, in
+    (6, anchors, widest + 1) arrays of high and low parts.  Each window's
+    coefficients are scaled by 2^-e (_SCALE_BITS); the exponents e are
+    returned too.  The sums run along each window in order and carry the
+    exact rounding error of every step in the low part, so each entry
+    depends only on its own window.
     """
-    s = 1
-    while s < longest:
-        P[:, s:] += np.where(pos[s:] >= s, P[:, :-s], 0.0)
-        s *= 2
+    size = last - first
+    column = np.arange(int(size.max()) + 1)
+    valid = (column >= 1) & (column <= size[:, None])
+    centre = np.where(valid, first[:, None] + column - 1, 0)
+    w = np.where(valid, C[centre] - anchors[:, None], 0.0)
+    coef = np.where(valid, a[centre], 0.0)
+    exponent = np.maximum(np.frexp(np.abs(coef).max(axis=1))[1] - _SCALE_BITS, 0)
+    high = np.empty((6,) + w.shape)
+    low = np.zeros_like(high)
+    high[0] = np.ldexp(coef, -exponent[:, None])
+    halves = _split(w)
+    for k in range(1, 6):
+        _mul(high[k - 1], low[k - 1], w, halves, out=(high[k], low[k]))
+    run = np.cumsum(high, axis=-1)
+    # the exact error of each step before + t of the running sum (TwoSum)
+    before, after, t = run[..., :-1], run[..., 1:], high[..., 1:]
+    step = after - before
+    error = after - step
+    np.subtract(before, error, out=error)
+    np.subtract(t, step, out=t)
+    del high, step
+    error += t
+    low[..., 1:] += error
+    del error
+    np.cumsum(low, axis=-1, out=low)
+    return run, low, exponent
 
 
-def _anchor_tables(anchors, C, a, enter, leave):
-    """Prefix and suffix tables of the Wendland terms over each anchor's window.
+def _piece_coefficients(starts, ends, owner, anchors, first, last, C, a, enter, leave):
+    """Taylor coefficients of the expansion on each piece about both of its ends.
 
-    The window of anchor o is C[lo:hi], every centre within computed
-    distance 1 of some x with rint(x) = o, so each centre lies in at most
-    three windows, and it takes hi - lo + 1 columns.  With w = C[i] - o,
-    rows 0-5 of column lbase + i hold the sums of a_i g_j(-w) over C[lo:i],
-    and rows 6-11 of column rbase - i those of a_i (-1)^j g_j(w) over
-    C[i:hi].  Returns (table, lbase, rbase, lo, hi).
+    Piece p covers [starts[p], ends[p]) in the cell of anchor o =
+    anchors[owner[p]]; its left centres C[i1:i2] and right centres C[i2:i3]
+    give power sums as differences of the anchor's tables, and those give
+    the coefficients G_j of u^j, u = x - o, all in double-double.  They are
+    shifted to v = starts - o and ends - o and rounded: a (6, 2 * pieces)
+    array whose column 2p + side holds the coefficients of (u - v)^j.
+    Returns it with each piece's exponent.
     """
-    lo = np.searchsorted(leave, anchors - 0.5, side="right")
-    hi = np.searchsorted(enter, anchors + 0.5, side="right")
-    sizes = hi - lo + 1
-    first = np.cumsum(sizes) - sizes
-    columns = int(first[-1] + sizes[-1])
-    window = np.repeat(np.arange(anchors.size), sizes)
-    pos = np.arange(columns) - first[window]
-    # column p > 0 of a window takes the terms of centre lo + p - 1, column 0 none
-    centre = lo[window] + pos - 1
-    none = pos == 0
-    centre[none] = 0
-    w = C[centre] - anchors[window]
-    w[none] = 0.0
-    power = a[centre]  # a w^i, i = 0 .. 5
-    power[none] = 0.0
-    table = np.empty((12, columns + 1))
-    table[:, columns] = 0.0
-    even, odd, term = table[:6, :columns], np.zeros((6, columns)), table[6:, :columns]
-    np.multiply(_TAYLOR[0], power, out=even)
-    for i in range(1, 6):
-        power *= w
-        sums = odd if i % 2 else even
-        sums += np.multiply(_TAYLOR[i], power, out=term)
-    np.add(even, odd, out=term)
-    term *= _SIGN
-    even -= odd
-    # the right terms in reverse order within each window, so that one
-    # forward scan gives the left prefix sums and the right suffix sums
-    term[:] = table[6:, first[window] + sizes[window] - pos]
-    _segmented_scan(table[:, :columns], pos, int(sizes.max()))
-    return table, first - lo, first + sizes - 1 + lo, lo, hi
+    pieces = starts.size
+    base = anchors[owner]
+    offset = first[owner]
+    i1, i2, i3 = (np.searchsorted(v, starts, "right") - offset for v in (leave, C, enter))
+    run, low, exponent = _power_tables(anchors, first, last, C, a)
+    at = owner * run.shape[-1]
+    run, low = run.reshape(6, -1), low.reshape(6, -1)
+
+    def table(i):
+        return np.take(run, at + i, axis=1), np.take(low, at + i, axis=1)
+
+    # X[0] = left + right = P3 - P1 and X[1] = left - right = 2 (P2 - P1) - X[0]
+    p1 = table(i1)
+    plus = _sub(*table(i3), *p1)
+    left = _sub(*table(i2), *p1)
+    del run, low, p1
+    minus = _sub(2.0 * left[0], 2.0 * left[1], *plus)
+    del left
+    xh, xl = _integer_halves(np.concatenate((plus[0], minus[0])), np.concatenate((plus[1], minus[1])), 7)
+    del plus, minus
+    th, tl = xh[_TERM_ROW], xl[_TERM_ROW]
+    del xh, xl
+    th *= _TERM_FACTOR
+    tl *= _TERM_FACTOR
+    gh, gl = th[:6], tl[:6]
+    for k in range(1, 6):
+        block = slice(_TERM_BLOCKS[k], _TERM_BLOCKS[k + 1])
+        gh[: 6 - k], gl[: 6 - k] = _add(gh[: 6 - k], gl[: 6 - k], th[block], tl[block])
+    del th, tl
+    gh, gl = _integer_halves(gh, gl, 4)
+    v = np.stack((starts - base, ends - base))
+    halves = _split(v)
+    bh, bl = np.empty((6, 2, pieces)), np.empty((6, 2, pieces))
+    bh[:], bl[:] = _BINOMIAL[:, 5, None, None] * gh[5], _BINOMIAL[:, 5, None, None] * gl[5]
+    for k in range(4, -1, -1):
+        rows = k + 1
+        n = _BINOMIAL[:rows, k, None, None]
+        _mul_add(bh[:rows], bl[:rows], v, halves, n * gh[k], n * gl[k])
+    bh += bl
+    return bh.transpose(0, 2, 1).reshape(6, -1), exponent[owner]
 
 
-def _quintic_values(xc, o, firsts, C, a, enter, leave):
-    """The expansion at the sorted points xc of one chunk, anchors o = rint(xc).
+def _piece_values(xp, starts, ends, beta, exponent):
+    """The expansion at sorted points xp of one group, from its pieces' coefficients.
 
-    firsts indexes each anchor's first point.  A point's left centres
-    C[i1:i2] (C <= x) and right centres C[i2:i3] give its six coefficients as
-    differences of its anchor's table columns, and Horner's rule in
-    u = x - o its value.  (i1, i2, i3) and the anchor change only where x
-    crosses an enter, centre or leave event or a new anchor, so the
-    coefficients are formed once per interval between such breakpoints.
+    Each point takes Horner's rule about the nearer end of its piece: the
+    points of piece p up to its midpoint form segment 2p, the rest segment
+    2p + 1, and a segment's end and coefficients are repeated over its
+    points.  Every term's own support edge is an end, so no term is
+    expanded about a point farther from x than its distance to its edge,
+    and the rounding stays relative to sum |a_i k(x, c_i)|.
     """
-    anchors = o[firsts] + 0.0  # no -0.0 anchor
-    table, lbase, rbase, lo, hi = _anchor_tables(anchors, C, a, enter, leave)
-    starts = xc[firsts]
-    parts = [starts]
-    for events in (enter, C, leave):
-        inside = np.searchsorted(events, xc[0]), np.searchsorted(events, xc[-1], "right")
-        parts.append(events[inside[0] : inside[1]])
-    breaks = np.sort(np.concatenate(parts))
-    owner = np.searchsorted(starts, breaks, side="right") - 1
-    i1, i2, i3 = (
-        np.clip(np.searchsorted(v, breaks, side="right"), lo[owner], hi[owner])
-        for v in (leave, C, enter)
-    )
-    lbase, rbase = lbase[owner], rbase[owner]
-    coef = np.take(table[:6], lbase + i2, axis=1)
-    coef -= np.take(table[:6], lbase + i1, axis=1)
-    near = np.take(table[6:], rbase - i2, axis=1)
-    near -= np.take(table[6:], rbase - i3, axis=1)
-    coef += near
-    del table, near
-    # each point's interval: the breakpoints at or below it, less one
-    interval = np.bincount(np.searchsorted(xc, breaks), minlength=xc.size + 1)[: xc.size]
-    np.cumsum(interval, out=interval)
-    interval -= 1
-    u = np.subtract(xc, o, out=o)
-    value = coef[5][interval]
-    term = np.empty_like(value)
+    middle = starts + 0.5 * (ends - starts)
+    lefts = np.searchsorted(xp, starts)
+    # a midpoint that rounds up to the next start still ends its piece
+    rights = np.minimum(np.searchsorted(xp, middle, "right"), np.append(lefts[1:], xp.size))
+    count = np.diff(np.stack((lefts, rights), axis=1).ravel(), append=xp.size)
+    d = xp - np.repeat(np.stack((starts, ends), axis=1).ravel(), count)
+    value = np.repeat(beta[5], count)
     for j in range(4, -1, -1):
-        value *= u
-        value += np.take(coef[j], interval, out=term)
+        value *= d
+        value += np.repeat(beta[j], count)
+    if exponent.any():
+        with np.errstate(over="ignore"):
+            np.ldexp(value, np.repeat(exponent, 2)[np.repeat(np.arange(2 * starts.size), count)], out=value)
+    value += 0.0  # no -0.0
     return value
 
 
 def _wendland_line(x: np.ndarray, C: np.ndarray, a: np.ndarray) -> np.ndarray:
     """sum_i a[i] phi(|x - C[i]|) at scaled 1-D points x, as a piecewise quintic.
 
-    Centres are sorted, and a is scaled by a power of two to at most 1 in
-    magnitude, so that no table overflows.  Points are sorted and taken in
-    chunks (_quintic_values).  A point's value depends only on x, C and a.
-    With no centre in its support its ranges are empty, and it reads
-    exactly 0.
+    The pieces of anchor o start at o and at the support events in its cell
+    [o, o + 1), and end at the next start or at o + 1; on a piece the
+    expansion is one quintic.  Points are sorted and taken in groups of
+    anchors and pieces, from the piece that holds the group's first point
+    (_piece_coefficients, _piece_values).  A point's value depends only on
+    x, C and a.  With no centre in its support its sums are empty, and it
+    reads exactly 0.
     """
     out = np.empty(x.size)
     by_value = np.argsort(C, kind="stable")
-    C = C[by_value]
-    e = int(np.frexp(np.abs(a).max())[1])
-    a = np.ldexp(a[by_value], -e)
+    C, a = C[by_value], a[by_value]
     enter, leave = _support_events(C)
+    events = _sorted_distinct(np.concatenate((enter, C, leave)))
+    cells, enter_cells = np.floor(events), np.floor(enter)
     order = np.argsort(x)
+    xs = x[order]
     start = 0
     while start < x.size:
-        chunk = order[start : start + _CHUNK_POINTS]
-        xc = x[chunk]
-        o = np.rint(xc)
-        firsts = np.flatnonzero(np.concatenate(([True], o[1:] != o[:-1])))
-        if firsts.size > _CHUNK_ANCHORS:
-            # stop before the point that opens one anchor too many
-            stop = firsts[_CHUNK_ANCHORS]
-            chunk, xc, o, firsts = chunk[:stop], xc[:stop], o[:stop], firsts[:_CHUNK_ANCHORS]
-        start += xc.size
-        value = _quintic_values(xc, o, firsts, C, a, enter, leave)
-        with np.errstate(over="ignore"):
-            np.ldexp(value, e, out=value)
-        out[chunk] = value + 0.0  # no -0.0
+        o = np.floor(xs[start : start + _CHUNK_POINTS]) + 0.0  # no -0.0 anchor
+        anchors = o[np.concatenate(([True], o[1:] != o[:-1]))][:_GROUP_PIECES]
+        del o
+        first = np.searchsorted(leave, anchors, "right")
+        last = np.searchsorted(enter_cells, anchors, "right")
+        cost = np.maximum.accumulate(last - first + 1) * np.arange(1, anchors.size + 1)
+        keep = max(1, int(np.searchsorted(cost, _GROUP_CELLS, "right")))
+        anchors = anchors[:keep]
+        lower, upper = np.searchsorted(cells, anchors[0]), np.searchsorted(cells, anchors[-1], "right")
+        near = cells[lower:upper]
+        own = anchors[np.searchsorted(anchors, near)] == near
+        starts = _sorted_distinct(np.concatenate((anchors, events[lower:upper][own])))
+        owner = np.searchsorted(anchors, np.floor(starts))
+        ends = np.minimum(np.append(starts[1:], np.inf), anchors[owner] + 1.0)
+        low = int(np.searchsorted(starts, xs[start], "right")) - 1
+        high = min(starts.size, low + _GROUP_PIECES)
+        if high < starts.size:
+            boundary = starts[high]
+        else:
+            top = anchors[-1] + 1.0
+            boundary = top if top > anchors[-1] else np.nextafter(anchors[-1], np.inf)
+        starts, ends, owner = starts[low:high], ends[low:high], owner[low:high]
+        keep = owner[-1] + 1
+        anchors, first, last = anchors[:keep], first[:keep], last[:keep]
+        beta, exponent = _piece_coefficients(starts, ends, owner, anchors, first, last, C, a, enter, leave)
+        stop = start + int(np.searchsorted(xs[start:], boundary))
+        for s in range(start, stop, _CHUNK_POINTS):
+            chunk = slice(s, min(stop, s + _CHUNK_POINTS))
+            out[order[chunk]] = _piece_values(xs[chunk], starts, ends, beta, exponent)
+        start = stop
     return out
 
 
@@ -461,15 +602,22 @@ def kernel_matvec(k, X, C, a) -> np.ndarray:
     the rounding of row-split BLAS products.
 
     A 1-D Wendland expansion is a piecewise quintic (``_wendland_line``):
-    the work per point does not grow with len(C), and each value lies within
-    512 eps sum |a_i| of ``pairwise(k, X, C) @ a``, the sum over the centres
-    within scaled distance 2 of the point (239 eps at most in a fuzz of
-    40 000 cases).  The bound is absolute: the Taylor coefficients cancel
-    near the edge of every support, so it is not relative to
-    sum |a_i k(x, c_i)|.  A point outside every support reads exactly 0,
-    and a point's value depends only on x and the expansion, not on the
-    other points, their order or the chunking.  Its memory is the O(len(C))
-    tables and the buffers of one chunk of points.
+    the work per point does not grow with len(C).  Where the scaled
+    differences x' - c' are exact, each value lies within a few eps
+    sum |a_i k(x, c_i)| of ``pairwise(k, X, C) @ a`` (17 eps at most in a
+    fuzz) plus the double-double floor, about 2^-88 sum |a_i| over the
+    centres within scaled distance 2, which shows only at points near the
+    edge of every support that holds them.  Elsewhere ``pairwise`` rounds
+    x' - c' itself; each value then lies within 16 eps sum |a_i| over the
+    centres within scaled distance 2 (2.9 eps at most in a fuzz of 45 000
+    cases).  A point outside every support reads exactly 0, and a point's
+    value depends only on x and the expansion, not on the other points,
+    their order or how they are grouped.  Coefficients are scaled by a
+    power of two per anchor window only where some exceed 2^900, so no sum
+    overflows; in such a window, coefficients below 2^-898 lose accuracy.
+    Its memory is the tables of one group of anchors (_GROUP_CELLS cells,
+    or one window) and _GROUP_PIECES pieces, and the buffers of
+    _CHUNK_POINTS points.
 
     In d > 1 the scaled Wendland rows and centres (coordinates divided by
     the support radius) are sorted by their first coordinate, and each

@@ -202,8 +202,8 @@ def _at_radius(rng, centers, radius, k, d):
 
 
 def _local_bound(X, C, a, radius):
-    """512 eps times sum |a_i| over the centres within scaled distance 2 of each point."""
-    return 512 * np.finfo(float).eps * ((np.abs(X / radius - (C / radius).T) < 2.0) @ np.abs(a))
+    """16 eps times sum |a_i| over the centres within scaled distance 2 of each point."""
+    return 16 * np.finfo(float).eps * ((np.abs(X / radius - (C / radius).T) < 2.0) @ np.abs(a))
 
 
 @settings(max_examples=150, deadline=None)
@@ -245,8 +245,9 @@ def test_wendland_matvec_skips_only_zero_columns(
     finally:
         kernels_mod._BLOCK_ENTRIES = saved
     if d == 1:
-        # the piecewise quintic cancels near the edge of every support, so its
-        # error is bounded by the coefficients within scaled distance 2 only
+        # the piecewise quintic takes Taylor coefficients, not kernel values:
+        # at a boundary point pairwise's own rounding of x' - c' shows, so
+        # the bound is on the coefficients within scaled distance 2
         assert np.all(np.abs(fa - K @ a) <= _local_bound(X, C, a, radius))
     else:
         assert np.all(np.abs(fa - K @ a) <= 1e-12 * (np.abs(K) @ np.abs(a)))
@@ -292,18 +293,25 @@ def test_wendland_line_with_dense_anchors_matches_pairwise(monkeypatch):
     C = rng.uniform(0.0, 1.0, (2000, 1))
     a = rng.normal(size=2000)
     X = rng.uniform(0.0, 1.0, (20000, 1))
-    real, sizes = kernels_mod._anchor_tables, []
+    real, tabled = kernels_mod._power_tables, []
 
     def recorded(anchors, *args):
-        table = real(anchors, *args)
-        sizes.append((anchors.size, table[0].shape[1] - 1))
-        return table
+        tables = real(anchors, *args)
+        tabled.append((anchors, tables[0].shape))
+        return tables
 
-    monkeypatch.setattr(kernels_mod, "_anchor_tables", recorded)
+    monkeypatch.setattr(kernels_mod, "_power_tables", recorded)
     fa = kernels_mod.kernel_matvec(k, X, C, a)
-    # tables only for the anchors that hold points, each centre in at most three windows
-    assert all(columns <= 3 * 2000 + anchors for anchors, columns in sizes)
-    assert sum(anchors for anchors, _ in sizes) == np.unique(np.rint(X / k.support_radius)).size
+    # tables only for the anchors that hold points, each group's within the
+    # cell budget or one window (each centre lies in at most three windows);
+    # a group that ends inside an anchor leaves its table to be built again
+    assert all(
+        anchors * width <= max(kernels_mod._GROUP_CELLS, 3 * 2000 + anchors)
+        for _, (_, anchors, width) in tabled
+    )
+    occupied = np.unique(np.floor(X / k.support_radius))
+    assert np.array_equal(np.unique(np.concatenate([t for t, _ in tabled])), occupied)
+    assert sum(t.size for t, _ in tabled) <= occupied.size + len(tabled)
     for rows in np.array_split(np.arange(20000), 10):
         K = kernels_mod.pairwise(k, X[rows], C)
         assert np.all(np.abs(fa[rows] - K @ a) <= _local_bound(X[rows], C, a, k.support_radius))
@@ -325,10 +333,24 @@ def test_wendland_line_keeps_huge_coefficients_finite():
     assert np.all(np.abs(fa - direct) <= _local_bound(X, C, a, k.support_radius))
 
 
-@pytest.mark.parametrize("points, anchors", [(7, 2), (4096, 512), (1 << 13, 1 << 10)])
-def test_wendland_line_point_values_ignore_the_batch(monkeypatch, points, anchors):
+def test_wendland_line_scales_each_window_on_its_own():
+    # a huge coefficient far away neither overflows nor flushes a tiny one to
+    # zero: only a window that holds a coefficient above 2^900 is scaled
+    k = WendlandC2(1.0)
+    C = np.array([[0.0], [10.0], [10.5]])
+    a = np.array([1e-300, 1e306, -1e306])
+    X = np.array([[0.0], [0.5], [0.99], [10.0], [10.2], [11.0]])
+    fa = kernels_mod.kernel_matvec(k, X, C, a)
+    K = kernels_mod.pairwise(k, X, C)
+    assert np.all(np.isfinite(fa))
+    assert np.all(fa[:3] != 0.0)
+    assert np.all(np.abs(fa - K @ a) <= 1e-14 * (np.abs(K) @ np.abs(a)))
+
+
+@pytest.mark.parametrize("points, cells", [(7, 2), (4096, 512), (1 << 14, 1 << 11)])
+def test_wendland_line_point_values_ignore_the_batch(monkeypatch, points, cells):
     monkeypatch.setattr(kernels_mod, "_CHUNK_POINTS", points)
-    monkeypatch.setattr(kernels_mod, "_CHUNK_ANCHORS", anchors)
+    monkeypatch.setattr(kernels_mod, "_GROUP_PIECES", cells)
     rng = np.random.default_rng(45)
     k = WendlandC2(0.05)
     C = rng.uniform(0.0, 1.0, (80, 1))
@@ -376,12 +398,7 @@ def test_wendland_scaled_path_is_one_arithmetic(radius, d, n, m, block, seed):
     assert np.array_equal(K, _sqdist_formula(k, X, C))
     assert all(G[i, j] == eval_kernel(k, X[i], X[j]) for i in range(n) for j in range(n))
     assert all(K[i, j] == eval_kernel(k, X[i], C[j]) for i in range(n) for j in range(m))
-    if d == 1:
-        # absolute, as in test_wendland_matvec_skips_only_zero_columns: one
-        # point near the edges of its supports has a tiny |K| |a|
-        assert np.all(np.abs(fa - K @ a) <= _local_bound(X, C, a, radius))
-    else:
-        np.testing.assert_allclose(fa, K @ a, rtol=0, atol=1e-12 * (np.abs(K) @ np.abs(a)).max())
+    np.testing.assert_allclose(fa, K @ a, rtol=0, atol=1e-12 * (np.abs(K) @ np.abs(a)).max())
 
 
 def test_kernel_matvec_checks_coefficient_shape():
