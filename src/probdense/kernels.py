@@ -14,11 +14,10 @@ coefficients' powers, and each point takes Horner's rule about the nearer
 end.  The work per point does not grow with the number of centres, the
 result agrees with ``pairwise(k, X, C) @ a`` to rounding relative to
 sum |a_i k(x, c_i)|, and it is exactly 0 outside every support.  In d > 1
-a Wendland expansion evaluates, per row block,
-only the centres whose first scaled coordinate lies within 1 of the
-block's rows: the skipped columns are exactly zero, but the sum runs in
-sorted order, so it agrees with ``pairwise(k, X, C) @ a`` to rounding and
-depends on the block size.  On top of them sits a measure-level Gaussian
+a Wendland expansion evaluates, per row block, only the centres whose
+first scaled coordinate lies within 1 of the block's rows: the skipped
+columns are exactly zero, but the sum runs in sorted order, so it agrees
+with ``pairwise(k, X, C) @ a`` to rounding and depends on the block size.  On top of them sits a measure-level Gaussian
 kernel: a Gaussian of the maximum mean discrepancy between two empirical
 measures.
 """
@@ -609,7 +608,7 @@ def kernel_matvec(k, X, C, a) -> np.ndarray:
     centres within scaled distance 2, which shows only at points near the
     edge of every support that holds them.  Elsewhere ``pairwise`` rounds
     x' - c' itself; each value then lies within 16 eps sum |a_i| over the
-    centres within scaled distance 2 (2.9 eps at most in a fuzz of 45 000
+    centres within scaled distance 2 (3.2 eps at most in a fuzz of 45 000
     cases).  A point outside every support reads exactly 0, and a point's
     value depends only on x and the expansion, not on the other points,
     their order or how they are grouped.  Coefficients are scaled by a
