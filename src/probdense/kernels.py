@@ -434,7 +434,7 @@ def _power_tables(anchors, first, last, C, a):
     column = np.arange(int(size.max()) + 1)
     valid = (column >= 1) & (column <= size[:, None])
     centre = np.where(valid, first[:, None] + column - 1, 0)
-    w = np.where(valid, C[centre] - anchors[:, None], 0.0)
+    w = np.where(valid, C[centre], anchors[:, None]) - anchors[:, None]  # 0 off the window
     coef = np.where(valid, a[centre], 0.0)
     exponent = np.maximum(np.frexp(np.abs(coef).max(axis=1))[1] - _SCALE_BITS, 0)
     high = np.empty((6,) + w.shape)

@@ -268,6 +268,8 @@ def test_wendland_matvec_skips_only_zero_columns(
         (1.0, 2.0**53 + 2.0 * np.arange(8.0)),
         # neighbouring doubles, 256 apart
         (2.0**-40, 2.0**-40 * (2.0**60 + 256.0 * np.arange(8.0))),
+        # both ends of the double range: no difference of far values overflows
+        (1.0, np.array([-1.7e308, -1e300, 0.0, 1e300, 1.7e308])),
     ],
 )
 def test_wendland_line_at_huge_scaled_coordinates(radius, centres):
