@@ -13,13 +13,10 @@ about both ends of the piece come from double-double running sums of the
 coefficients' powers, and each point takes Horner's rule about the nearer
 end.  The work per point does not grow with the number of centres, the
 result agrees with ``pairwise(k, X, C) @ a`` to rounding relative to
-sum |a_i k(x, c_i)|, and it is exactly 0 outside every support.  In d > 1
-a Wendland expansion evaluates, per row block, only the centres whose
-first scaled coordinate lies within 1 of the block's rows: the skipped
-columns are exactly zero, but the sum runs in sorted order, so it agrees
-with ``pairwise(k, X, C) @ a`` to rounding and depends on the block size.  On top of them sits a measure-level Gaussian
-kernel: a Gaussian of the maximum mean discrepancy between two empirical
-measures.
+sum |a_i k(x, c_i)|, and it is exactly 0 outside every support.  Every
+other expansion, a Wendland one in d > 1 included, is multiplied out row
+block by row block.  On top of them sits a measure-level Gaussian kernel:
+a Gaussian of the maximum mean discrepancy between two empirical measures.
 """
 
 from __future__ import annotations
@@ -104,9 +101,7 @@ class WendlandC2:
     otherwise.  Points whose scaled coordinates overflow are a ValueError.
     r is clipped at 1, so far points, even at an infinite computed
     distance, give exactly 0.  The fourth power is two squarings.
-    ``kernel_matvec`` evaluates a 1-D expansion as a piecewise quintic; in
-    d > 1 it skips the centres outside the support of each row block, whose
-    values are exactly zero, and sums the rest in sorted order.
+    ``kernel_matvec`` evaluates a 1-D expansion as a piecewise quintic.
     """
 
     support_radius: float = 1.0
@@ -194,8 +189,8 @@ def _point_pair(k, X, Y) -> tuple[np.ndarray, np.ndarray]:
     return X, Y
 
 
-def _blocks(k, X: np.ndarray, Y: np.ndarray, out=None, reach=None):
-    """Yield (rows, cols, block) with block = K[rows, cols], K[i, j] = k(X[i], Y[j]).
+def _blocks(k, X: np.ndarray, Y: np.ndarray, out=None):
+    """Yield (rows, block) with block = K[rows], K[i, j] = k(X[i], Y[j]).
 
     X and Y are in the kernel's ``_scaled`` coordinates.  Each block is built
     in place from explicit coordinate differences (never the expanded
@@ -203,10 +198,7 @@ def _blocks(k, X: np.ndarray, Y: np.ndarray, out=None, reach=None):
     axis (a square root of the sum, or the absolute difference in 1-D, for
     a kernel that takes distances), then the kernel's transform.  Blocks are
     views of ``out`` when given, else of a scratch buffer that the next block
-    overwrites.  With ``reach`` (Wendland expansions in d > 1), X and Y must
-    be sorted by their first coordinate, and a block holds only the columns
-    whose first coordinate lies within ``reach`` of its rows' (all of Y
-    otherwise).  The row split depends on _BLOCK_ENTRIES and the shapes
+    overwrites.  The row split depends on _BLOCK_ENTRIES and the shapes
     only, and memory is one set of block buffers.  Overflow is silenced
     while a block is built, not in the caller's use of it: a far point's
     distance overflows to inf, which the transform maps to exactly 0.
@@ -214,43 +206,28 @@ def _blocks(k, X: np.ndarray, Y: np.ndarray, out=None, reach=None):
     n, d = X.shape
     m = Y.shape[0]
     rows = min(n, max(1, _BLOCK_ENTRIES // (m * d)))
-    # flat buffers, so that a block narrower than Y is still a contiguous prefix
-    diff = np.empty(rows * m * d) if d > 1 else None
-    scratch = np.empty(rows * m) if out is None else None
-    work = np.empty(rows * m)
-    cols = slice(0, m)
-    if reach is not None:
-        first = np.arange(0, n, rows)
-        last = np.minimum(first + rows, n) - 1
-        # Rounding is monotone, so y1 < fl(x1 - reach) implies x1 - y1 > reach,
-        # hence a computed |x1 - y1| >= reach; a column with
-        # y1 == fl(x1 -/+ reach) may lie within reach and is kept.
-        lo = np.searchsorted(Y[:, 0], X[first, 0] - reach, side="left")
-        hi = np.searchsorted(Y[:, 0], X[last, 0] + reach, side="right")
-    for b, start in enumerate(range(0, n, rows)):
+    diff = np.empty((rows, m, d)) if d > 1 else None
+    scratch = np.empty((rows, m)) if out is None else None
+    work = np.empty((rows, m))
+    for start in range(0, n, rows):
         stop = min(n, start + rows)
-        if reach is not None:
-            cols = slice(lo[b], hi[b])
-        Yb = Y[cols]
-        shape = (stop - start, Yb.shape[0])
-        entries = shape[0] * shape[1]
-        block = scratch[:entries].reshape(shape) if out is None else out[start:stop]
+        block = scratch[: stop - start] if out is None else out[start:stop]
         with np.errstate(over="ignore"):
             if d == 1:
-                np.subtract(X[start:stop], Yb.T, out=block)
+                np.subtract(X[start:stop], Y.T, out=block)
                 if k._distances:
                     np.abs(block, out=block)
                 else:
                     np.multiply(block, block, out=block)
             else:
-                t = diff[: entries * d].reshape(shape + (d,))
-                np.subtract(X[start:stop, None, :], Yb[None, :, :], out=t)
+                t = diff[: stop - start]
+                np.subtract(X[start:stop, None, :], Y[None, :, :], out=t)
                 np.multiply(t, t, out=t)
                 np.sum(t, axis=-1, out=block)
                 if k._distances:
                     np.sqrt(block, out=block)
-            k._transform(block, work[:entries].reshape(shape))
-        yield slice(start, stop), cols, block
+            k._transform(block, work[: stop - start])
+        yield slice(start, stop), block
 
 
 def _kernel_diag(k, n: int) -> np.ndarray:
@@ -370,19 +347,6 @@ def _mul(xh, xl, y, halves, out=None):
     np.multiply(xl, y, out=lo)
     e += lo
     return p, e
-
-
-def _mul_add(xh, xl, y, halves, zh, zl):
-    """xh, xl = (xh + xl) * y + (zh + zl) in place: one Horner step in y."""
-    p, e = _mul(xh, xl, y, halves)
-    np.add(p, zh, out=xh)
-    v = xh - p
-    t = xh - v
-    np.subtract(p, t, out=t)
-    np.subtract(zh, v, out=v)
-    t += v  # xh + t == p + zh exactly
-    np.add(e, t, out=xl)
-    xl += zl
 
 
 def _support_events(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -506,7 +470,7 @@ def _piece_coefficients(starts, ends, owner, anchors, first, last, C, a, enter, 
     for k in range(4, -1, -1):
         rows = k + 1
         n = _BINOMIAL[:rows, k, None, None]
-        _mul_add(bh[:rows], bl[:rows], v, halves, n * gh[k], n * gl[k])
+        bh[:rows], bl[:rows] = _add(*_mul(bh[:rows], bl[:rows], v, halves), n * gh[k], n * gl[k])
     bh += bl
     return bh.transpose(0, 2, 1).reshape(6, -1), exponent[owner]
 
@@ -595,10 +559,11 @@ def _wendland_line(x: np.ndarray, C: np.ndarray, a: np.ndarray) -> np.ndarray:
 def kernel_matvec(k, X, C, a) -> np.ndarray:
     """pairwise(k, X, C) @ a without forming the (len(X), len(C)) matrix.
 
-    Each row block is multiplied by ``a`` as soon as it is built, so memory
-    stays bounded by a few blocks.  When all rows fit in one block it is
-    bitwise equal to ``pairwise(k, X, C) @ a``; otherwise it agrees up to
-    the rounding of row-split BLAS products.
+    Every expansion but a 1-D Wendland one is taken row block by row block
+    (``_blocks``), each block multiplied by ``a`` as soon as it is built,
+    so memory stays bounded by a few blocks.  When all rows fit in one
+    block it is bitwise equal to ``pairwise(k, X, C) @ a``; otherwise it
+    agrees up to the rounding of row-split BLAS products.
 
     A 1-D Wendland expansion is a piecewise quintic (``_wendland_line``):
     the work per point does not grow with len(C).  Where the scaled
@@ -617,48 +582,17 @@ def kernel_matvec(k, X, C, a) -> np.ndarray:
     Its memory is the tables of one group of anchors (_GROUP_CELLS cells,
     or one window) and _GROUP_PIECES pieces, and the buffers of
     _CHUNK_POINTS points.
-
-    In d > 1 the scaled Wendland rows and centres (coordinates divided by
-    the support radius) are sorted by their first coordinate, and each
-    block of sorted rows is evaluated only against the centres whose first
-    scaled coordinate lies within 1 of the block's first-coordinate range;
-    the values are scattered back to the caller's row order.  Since
-    |x_1 - c_1| <= ||x - c||, every skipped column is exactly zero, but the
-    remaining ones are summed in sorted order over a window that depends on
-    the block size, so the result agrees with ``pairwise(k, X, C) @ a`` to
-    rounding.  The rows are sorted on all scaled coordinates and equal ones
-    are evaluated once, so the value of each row is bitwise independent of
-    the row order.
     """
     X, C = _point_pair(k, X, C)
     a = np.asarray(a, dtype=float)
     if a.shape != (C.shape[0],):
         raise ValueError(f"a must have shape ({C.shape[0]},), got {a.shape}")
-    if not isinstance(k, WendlandC2):
-        out = np.empty(X.shape[0])
-        for rows, _, block in _blocks(k, X, C):
-            np.matmul(block, a, out=out[rows])
-        return out
     X, C = k._scaled(X, "X"), k._scaled(C, "C")
-    if X.shape[1] == 1:
+    if isinstance(k, WendlandC2) and X.shape[1] == 1:
         return _wendland_line(X[:, 0], C[:, 0], a)
-    order = np.lexsort(X.T[::-1])
-    X = X[order]
-    # d > 1 only (1-D returned above): one evaluation per distinct row, since
-    # equal rows in different blocks could otherwise get different roundings
-    # and the row order would show
-    distinct = np.ones(X.shape[0], dtype=bool)
-    distinct[1:] = (X[1:] != X[:-1]).any(axis=1)
-    X = X[distinct]
-    by_first = np.argsort(C[:, 0], kind="stable")
-    C, a = C[by_first], a[by_first]
-    # d > 1 only: in scaled coordinates the support is r < 1, and a computed
-    # |x1 - c1| >= 1 gives a computed r >= 1 and a value of exactly 0
-    values = np.empty(X.shape[0])
-    for rows, cols, block in _blocks(k, X, C, reach=1.0):
-        np.matmul(block, a[cols], out=values[rows])
-    out = np.empty(order.size)
-    out[order] = values[np.cumsum(distinct) - 1]
+    out = np.empty(X.shape[0])
+    for rows, block in _blocks(k, X, C):
+        np.matmul(block, a, out=out[rows])
     return out
 
 

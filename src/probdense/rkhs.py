@@ -1,13 +1,12 @@
 """Finite representer-form RKHS functions and empirical L^p machinery.
 
 An RkhsFunction is a finite expansion f = sum_i alpha_i k(., x_i).  Its norm
-is sqrt(alpha' K alpha), and evaluation goes through kernel_matvec.  For a
-Gaussian kernel, evaluating f on its own centers agrees bitwise with
-K @ alpha when they fit in one block, and to BLAS rounding otherwise.  A
+is sqrt(alpha' K alpha), and evaluation goes through kernel_matvec.  A
 1-D Wendland expansion is evaluated as a piecewise quintic, which agrees
 with K @ alpha to rounding relative to |K| |alpha| and is exactly 0 outside
-every support; in d > 1 it sums only the in-support centres, in sorted
-order, and agrees with K @ alpha to rounding.
+every support.  Any other expansion, evaluated on its own centers, agrees
+bitwise with K @ alpha when they fit in one block, and to BLAS rounding
+otherwise.
 """
 
 from __future__ import annotations

@@ -35,6 +35,7 @@ from probdense import (
     uniform_sampler,
 )
 from probdense import denseness as denseness_mod
+from probdense import rkhs as rkhs_mod
 from probdense.config import parse_study_config
 from probdense.reporting import emit_report, read_report_csv
 from probdense.util import derive_rng
@@ -351,6 +352,29 @@ def test_run_study_shape_and_determinism():
             assert np.isfinite(v) and v >= 0.0
         # target risk is exactly zero, so the gap is the fitted L1 risk
         assert c.risk_gap == c.l1_gap
+
+
+def test_study_cell_evaluates_the_fit_once(monkeypatch):
+    cfg = tiny_config(kernel_family="wendland_c2", sample_sizes=(8,))
+    real = rkhs_mod.kernel_matvec
+    rows = []
+
+    def counted(k, X, C, a):
+        rows.append(X.shape[0])
+        return real(k, X, C, a)
+
+    monkeypatch.setattr(rkhs_mod, "kernel_matvec", counted)
+    report = run_study(cfg)
+    grid = 51 + 3 * len(cfg.target.discontinuities)
+    assert rows == [32 + grid] * len(report.cells)
+    # 1-D Wendland values do not depend on the batch: the grid's part of the
+    # one evaluation gives sup_gap_estimate's value bitwise
+    monkeypatch.setattr(rkhs_mod, "kernel_matvec", real)
+    sampler = uniform_sampler(cfg.target.domain)
+    for cell in report.cells:
+        rng = derive_rng(cfg.seed, 8, cell.replicate, "train")
+        fitted = fit_approximant(cfg.target, 8, cfg.kernel_for(8), cfg.penalty_for(8), sampler, rng)
+        assert cell.sup_gap == sup_gap_estimate(cfg.target, fitted, cfg.grid_resolution)
 
 
 WENDLAND_STUDY = Path(__file__).parent / "data" / "wendland_study.json"

@@ -146,6 +146,10 @@ def _config(target, sizes, kernel, sampler, gamma, lam, psi, m, grid, replicates
 @example(SignStep(0.1), [16, 512], "wendland_c2", "truncated_gaussian",
          1.0, 1.0, RatioPsi(), 2000, 2001, 2, 7)
 @example(SineWave(3.0), [700], "wendland_c2", "uniform", 0.3, 3.0, CappedPsi(), 2000, 2001, 1, 8)
+# a subnormal level: 1e-9 |ref| underflows to 0, and both gaps lie within
+# one subnormal ulp of the exact one
+@example(PiecewiseConstant(((0.0, 1.0, 5e-324),)), [8], "gaussian_rbf", "uniform",
+         1.0, 1.0, RatioPsi(), 1, 2, 1, 0)
 def test_study_cells_match_their_definitions(
     target, sizes, kernel, sampler, gamma, lam, psi, m, grid, replicates, seed
 ):
@@ -170,4 +174,5 @@ def test_study_cells_match_their_definitions(
         slack = 0.0 if bound is None else bound
         for name in METRICS:
             value = getattr(cell, name)
-            assert abs(value - ref[name]) <= 1e-9 * abs(ref[name]) + slack, (cell, name, ref[name])
+            tol = 1e-9 * abs(ref[name]) + 4 * np.finfo(float).smallest_subnormal + slack
+            assert abs(value - ref[name]) <= tol, (cell, name, ref[name])
