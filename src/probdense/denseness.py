@@ -377,8 +377,9 @@ def fit_approximant(target, n: int, kernel, lam: float, sampler, rng) -> object:
     """Draw n training points, label them with the target, fit kernel ridge.
 
     Returns fit_kernel_ridge's expansion f over all n points, except when
-    the fit took the low-rank path: then it returns the projection f_hat of
-    f onto the r pivot sections k(., x_p), an RkhsFunction over the r pivot
+    the fit took the low-rank path with at least one pivot, as a Gaussian
+    fit within its rank cap does at any n: then it returns the projection
+    f_hat of f onto the r pivot sections k(., x_p), an RkhsFunction over the r pivot
     inputs with sup |f - f_hat| <= sqrt(max k(x, x) * trace E) * ||alpha||
     (E the residual of the pivoted Cholesky factor), up to rounding, and
     logs r and that bound as one INFO record.

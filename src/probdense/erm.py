@@ -7,16 +7,16 @@ Moré & Toraldo, SIAM J. Optim. 1, 1991), and the ridge solve with a free
 intercept for the pairwise ranking objective: one exact solver per loss.
 Clipping and the empirical risk functional round out the toolkit.
 
-A ridge or ranking fit with more than 512 points is solved through a
-greedy pivoted Cholesky factor K ~ L L' (Harbrecht, Peters & Schneider,
-Appl. Numer. Math. 62, 2012) and the Woodbury identity (Fine & Scheinberg,
-JMLR 2, 2001), so it never forms the n x n Gram matrix; when the numerical
-rank is not small, and for compactly supported kernels, it falls back to
-the dense solve.  A low-rank ridge fit also yields its projection
-onto the r pivot sections k(., x_p), an expansion over r centres with a
-certified sup-norm distance to the full one; greedy pivoting is the
-P-greedy point selection of De Marchi, Schaback & Wendland (Adv. Comput.
-Math. 23, 2005).
+A Gaussian ridge or ranking fit is solved through a greedy pivoted
+Cholesky factor K ~ L L' (Harbrecht, Peters & Schneider, Appl. Numer.
+Math. 62, 2012) and the Woodbury identity (Fine & Scheinberg, JMLR 2,
+2001), so it never forms the n x n Gram matrix; when the numerical rank is
+not small, and for compactly supported kernels, it takes the dense solve
+instead, by one rule whatever n is.  A low-rank ridge fit also yields its
+projection onto the r pivot sections k(., x_p), an expansion over r
+centres with a certified sup-norm distance to the full one; greedy
+pivoting is the P-greedy point selection of De Marchi, Schaback & Wendland
+(Adv. Comput. Math. 23, 2005).
 """
 
 from __future__ import annotations
@@ -46,11 +46,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-# Ridge and ranking solves with at most _DENSE_MAX points factor K, which
-# is cheap at that size; the cutoff does not follow kernels._BLOCK_ENTRIES,
-# so a change of the evaluation block size moves no fit to another path.
-_DENSE_MAX = 512
 
 # Low-rank solves of K + shift * I: the pivoted Cholesky stops once the residual
 # at its next pivot is at most max(_PIVOT_TOL * shift, _PIVOT_FLOOR * max k(x, x)),
@@ -349,26 +344,26 @@ def _shifted_solve(kernel, X: np.ndarray, b: np.ndarray, shift: float, lam: floa
     """Solve (K + shift * I) Z = b, b of shape (n,) or (n, k), on fit_kernel_ridge's paths.
 
     Returns (Z, factor): the low-rank path's pivoted Cholesky (Lt, pivots, d), or None.
+    A solve that overflows gives inf or nan in Z, which the callers check, not a warning.
     """
     n = X.shape[0]
-    if n <= _DENSE_MAX:
-        log.info("dense solve: %d points, at most %d", n, _DENSE_MAX)
-    elif isinstance(kernel, WendlandC2):
-        # a compactly supported kernel's Gram matrix is not low-rank
-        log.info("dense solve: compactly supported kernel")
-    else:
-        cap = min(n // 8, _MAX_RANK)
-        factor = _pivoted_cholesky(kernel, X, _PIVOT_TOL * shift, cap)
-        if factor is None:
-            log.info("dense solve: rank cap %d reached", cap)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if isinstance(kernel, WendlandC2):
+            # a compactly supported kernel's Gram matrix is not low-rank
+            log.info("dense solve: compactly supported kernel")
         else:
-            Z = _woodbury_solve(factor[0], shift, b)
-            if Z is not None:
-                log.info("low-rank solve: rank %d of %d", factor[0].shape[0], n)
-                return Z, factor
-            log.info("dense solve: rank-%d factor failed", factor[0].shape[0])
-            del factor
-    return _dense_solve(kernel, X, shift, b, lam), None
+            cap = min(n // 8, _MAX_RANK)
+            factor = _pivoted_cholesky(kernel, X, _PIVOT_TOL * shift, cap)
+            if factor is None:
+                log.info("dense solve: rank cap %d reached", cap)
+            else:
+                Z = _woodbury_solve(factor[0], shift, b)
+                if Z is not None:
+                    log.info("low-rank solve: rank %d of %d", factor[0].shape[0], n)
+                    return Z, factor
+                log.info("dense solve: rank-%d factor failed", factor[0].shape[0])
+                del factor
+        return _dense_solve(kernel, X, shift, b, lam), None
 
 
 def _ridge_solve(data: Dataset, kernel, lam: float):
@@ -380,44 +375,49 @@ def _ridge_solve(data: Dataset, kernel, lam: float):
     triangle of the pivot block B = Lt[:, pivots], and for every x
     |f(x) - f_hat(x)| <= P(x) sqrt(alpha' E alpha) <= bound =
     sqrt(max k(x, x) * trace E) * ||alpha||, with P the power function of
-    the pivots and E = K - Lt' Lt, up to rounding.  On the dense path f_hat
-    and bound are None.
+    the pivots and E = K - Lt' Lt, up to rounding.  On the dense path, and
+    for a rank-0 factor, f_hat and bound are None; a non-finite beta raises
+    NumericalError naming the fit's n.
     """
     _check_lam(lam)
     X = data.inputs
     alpha, factor = _shifted_solve(kernel, X, data.outputs, data.n * lam, lam)
     f = _expansion(kernel, X, alpha, lam)
-    if factor is None:
+    if factor is None or factor[1].size == 0:
         return f, None, None
     Lt, pivots, d = factor
-    beta = _solve_lower(Lt[:, pivots].T, Lt @ alpha, trans=True)
-    kmax = float(_kernel_diag(kernel, 1)[0])
-    bound = float(np.sqrt(kmax * d.clip(min=0.0).sum()) * np.linalg.norm(alpha))
-    return f, _expansion(kernel, X[pivots], beta, lam), bound
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        beta = _solve_lower(Lt[:, pivots].T, Lt @ alpha, trans=True)
+        kmax = float(_kernel_diag(kernel, 1)[0])
+        bound = float(np.sqrt(kmax * d.clip(min=0.0).sum()) * np.linalg.norm(alpha))
+    if not np.all(np.isfinite(beta)):
+        raise NumericalError(f"pivot-basis projection gave non-finite coefficients (n={data.n}, lam={lam!r})")
+    return f, RkhsFunction(kernel, X[pivots], beta), bound
 
 
 def fit_kernel_ridge(data: Dataset, kernel, lam: float) -> RkhsFunction:
     """Solve (K + n * lam * I) alpha = y and return the representer expansion.
 
-    With s = n * lam: when n > 512 and the kernel is not compactly
-    supported, K is replaced by a greedy pivoted Cholesky factor L L'
-    stopped at residual diagonal <= max(1e-14 * s, 8 * eps * max k(x, x)),
-    and (L L' + s I) alpha = y is solved by Woodbury with one r x r
-    Cholesky.  Then ||(K + s I) alpha - y|| <= n * 1e-14 * ||y|| plus
-    rounding (where the floor binds, it adds at most 8 * n / s units of
-    roundoff times ||y||, the size of the rounding any solve of the system
-    shares), the n x n Gram matrix is never formed, and the result is
-    deterministic but not bitwise the dense solve.  If the rank would exceed
-    min(n // 8, 512) or the r x r factorization fails, for a WendlandC2
-    kernel, and for every smaller fit, the dense path runs: Cholesky of
-    K + s I with escalating jitter (on failure, add 1e-12 * trace(K) / n to
-    the diagonal and retry with 10x the jitter, at most three times, then
-    raise NumericalError).  One INFO record from probdense.erm names the
-    path taken.  The expansion holds all n training inputs as centres
-    either way; non-finite coefficients, from outputs so large that the
-    solve overflows, raise NumericalError.
+    With s = n * lam, at any n: unless the kernel is compactly supported,
+    K is replaced by a greedy pivoted Cholesky factor L L' stopped at
+    residual diagonal <= max(1e-14 * s, 8 * eps * max k(x, x)), and
+    (L L' + s I) alpha = y is solved by Woodbury with one r x r Cholesky.
+    Then ||(K + s I) alpha - y|| <= n * 1e-14 * ||y|| plus rounding (where
+    the floor binds, it adds at most 8 * n / s units of roundoff times
+    ||y||, the size of the rounding any solve of the system shares), the
+    n x n Gram matrix is never formed, and the result is deterministic but
+    not bitwise the dense solve.  If the rank would exceed min(n // 8, 512)
+    or the r x r factorization fails, and for a WendlandC2 kernel, the dense
+    path runs: Cholesky of K + s I with escalating jitter (on failure, add
+    1e-12 * trace(K) / n to the diagonal and retry with 10x the jitter, at
+    most three times, then raise NumericalError).  One INFO record from
+    probdense.erm names the path taken.  The expansion holds all n training
+    inputs as centres either way; non-finite coefficients, from a solve
+    that overflows, raise NumericalError naming n, with no numpy warning.
     """
-    return _ridge_solve(data, kernel, lam)[0]
+    _check_lam(lam)
+    alpha, _ = _shifted_solve(kernel, data.inputs, data.outputs, data.n * lam, lam)
+    return _expansion(kernel, data.inputs, alpha, lam)
 
 
 def _cholesky_delete(L: np.ndarray, m: int) -> np.ndarray:

@@ -208,8 +208,13 @@ def paired_sample(f, g, pts) -> PairedSample:
 
 
 def psi_metric(psi, sample: PairedSample) -> float:
-    """Integrated-psi metric sum_j w_j psi(d_j), in [0, 1]: a sum above 1 by rounding reads 1."""
-    return min(1.0, float(np.dot(sample.weights, apply_psi(psi, sample.distances))))
+    """Integrated-psi metric sum_j w_j psi(d_j), in [0, 1]: a sum above 1 by rounding reads 1.
+
+    Summed pairwise by numpy, not by a BLAS dot, whose order varies with its thread count.
+    """
+    terms = apply_psi(psi, sample.distances)
+    terms *= sample.weights
+    return min(1.0, float(np.add.reduce(terms)))
 
 
 def ky_fan_metric(sample: PairedSample) -> float:
@@ -221,13 +226,18 @@ def ky_fan_metric(sample: PairedSample) -> float:
     P(d > c_i) <= S_(i+1) <= c_i, and so is S_1; the metric is
     min(S_1, min_i c_i).  The minimum is attained at the last element of a
     run of tied distances, whose mass above is exactly the exceedance mass
-    P(d > d_(i)).  The result is clamped at 1, which S_1 and the c_i can
-    exceed by rounding, and a -0.0 result is returned as 0.0.
+    P(d > d_(i)).  Equal weights make the S_i independent of the order, so
+    then one plain sort serves.  The result is clamped at 1, which S_1 and
+    the c_i can exceed by rounding, and a -0.0 result is returned as 0.0.
     """
-    keep = sample.weights > 0.0
-    d = sample.distances[keep]
-    order = np.argsort(d, kind="stable")
-    ds = d[order]
-    suffix = np.cumsum(sample.weights[keep][order][::-1])[::-1]
+    w = sample.weights
+    if (w == w[0]).all():
+        ds = np.sort(sample.distances)
+    else:
+        keep = w > 0.0
+        d, w = sample.distances[keep], w[keep]
+        order = np.argsort(d, kind="stable")
+        ds, w = d[order], w[order]
+    suffix = np.cumsum(w[::-1])[::-1]
     above = np.append(suffix[1:], 0.0)
     return float(min(1.0, suffix[0], np.where(above <= ds, ds, above).min())) + 0.0

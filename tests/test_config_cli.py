@@ -470,6 +470,35 @@ def test_cli_does_not_import_scipy_stats(tmp_path):
     assert run.returncode == 0, run.stderr
 
 
+def test_study_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # d_psi sums 20 000 weighted terms; a BLAS dot splits a sum that long
+    # across its threads, so its rounding depended on their number.  On a
+    # host with one CPU OpenBLAS may not split it, and then this test
+    # cannot see that defect.
+    cfg = write(
+        tmp_path,
+        "[study]\ntarget = indicator\nlower = 0.0\nupper = 0.5\nsample_sizes = 16 32\n"
+        "replicates = 4\nseed = 11\neval_sample_size = 20000\ngrid_resolution = 101\n",
+    )
+    src = str(Path(probdense.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads / "o.csv"
+        out.parent.mkdir()
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; from probdense.cli import main; sys.exit(main(sys.argv[1:]))",
+             "study", "--config", str(cfg), "--out", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        outputs.append((out.read_bytes(), Path(str(out) + ".manifest.txt").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_seed_override_recorded(tmp_path):
     cfg = write(tmp_path, TINY_STUDY)
     out = tmp_path / "o.csv"

@@ -277,24 +277,40 @@ def test_fit_approximant_zero_target_gives_zero_function():
 def test_fit_approximant_evaluates_large_fits_in_the_pivot_basis():
     target = IntervalIndicator(0.0, 0.5)
     sampler = uniform_sampler((0.0, 1.0))
-    for n in (64, 512):
-        kernel = GaussianRBF(n ** (-1 / 3))
-        f = fit_approximant(target, n, kernel, 1.0 / n, sampler, np.random.default_rng(n))
-        X = sampler(np.random.default_rng(n), n)
-        ridge = fit_kernel_ridge(Dataset(X, target(X)), kernel, 1.0 / n)
-        assert np.array_equal(f.centers, ridge.centers)
-        assert np.array_equal(f.coefficients, ridge.coefficients)
-    # the study's largest cell: the projection has at most n // 8 centres,
-    # all training inputs, and stays within rounding of the full expansion
-    n = 4096
+    # past its rank cap n // 8 = 8 the fit is the full expansion
+    n = 64
     kernel = GaussianRBF(n ** (-1 / 3))
     f = fit_approximant(target, n, kernel, 1.0 / n, sampler, np.random.default_rng(n))
     X = sampler(np.random.default_rng(n), n)
     ridge = fit_kernel_ridge(Dataset(X, target(X)), kernel, 1.0 / n)
-    assert f.centers.shape[0] <= n // 8
-    assert np.isin(f.centers[:, 0], X[:, 0]).all()
-    grid = np.linspace(0.0, 1.0, 2001)[:, None]
-    assert np.abs(f(grid) - ridge(grid)).max() <= 1e-12
+    assert np.array_equal(f.centers, ridge.centers)
+    assert np.array_equal(f.coefficients, ridge.coefficients)
+    # within the cap, at n = 512 as at the study's largest cell: the
+    # projection has at most n // 8 centres, all training inputs, and stays
+    # within rounding of the full expansion
+    for n in (512, 4096):
+        kernel = GaussianRBF(n ** (-1 / 3))
+        f = fit_approximant(target, n, kernel, 1.0 / n, sampler, np.random.default_rng(n))
+        X = sampler(np.random.default_rng(n), n)
+        ridge = fit_kernel_ridge(Dataset(X, target(X)), kernel, 1.0 / n)
+        assert f.centers.shape[0] <= n // 8
+        assert np.isin(f.centers[:, 0], X[:, 0]).all()
+        grid = np.linspace(0.0, 1.0, 2001)[:, None]
+        assert np.abs(f(grid) - ridge(grid)).max() <= 1e-12
+
+
+def test_fit_approximant_without_pivots_is_the_full_expansion():
+    # a shift n * lam = 1e15 puts the pivot tolerance 1e-14 * shift above
+    # every k(x, x) = 1: a rank-0 factor, which spans no pivot basis
+    target = IntervalIndicator(0.0, 0.5)
+    sampler = uniform_sampler((0.0, 1.0))
+    n, lam = 1024, 1e15 / 1024
+    kernel = GaussianRBF(n ** (-1 / 3))
+    f = fit_approximant(target, n, kernel, lam, sampler, np.random.default_rng(n))
+    X = sampler(np.random.default_rng(n), n)
+    ridge = fit_kernel_ridge(Dataset(X, target(X)), kernel, lam)
+    assert np.array_equal(f.centers, X)
+    assert np.array_equal(f.coefficients, ridge.coefficients)
 
 
 def test_pivot_basis_cells_are_logged(caplog):

@@ -205,6 +205,33 @@ def test_cli_fit_at_every_output_scale_exits_cleanly(tmp_path, capsys, n, scale,
         assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lam", [1e-297, 1e-298])
+def test_low_rank_ridge_at_outputs_near_overflow_builds_no_projection(tmp_path, capsys, lam):
+    # a wide Gaussian at n = 600 takes the low-rank solve, whose coefficients
+    # reach 5e306 (5e307 at the smaller penalty): the fit itself is finite,
+    # while ||alpha|| and then the pivot-basis projection, which only a study
+    # cell builds, overflow
+    rng = np.random.default_rng(0)
+    x, y = rng.uniform(0.0, 1.0, 600), rng.normal(size=600) * 1e12
+    data, cfg, out = tmp_path / "d.csv", tmp_path / "fit.ini", tmp_path / "f.csv"
+    data.write_text("".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist())))
+    cfg.write_text(
+        f"[fit]\ndata = {data}\nloss = squared\nlambda = {lam!r}\n"
+        "[kernel]\nfamily = gaussian_rbf\ngamma = 100.0\n"
+    )
+    assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert np.all(np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)))
+    solve = lambda: erm_mod._ridge_solve(Dataset(x[:, None], y), GaussianRBF(100.0), lam)
+    if lam == 1e-297:
+        _, f_hat, bound = solve()
+        assert np.all(np.isfinite(f_hat.coefficients)) and bound == np.inf
+    else:
+        with pytest.raises(NumericalError, match=r"projection .*\(n=600, lam=1e-298\)"):
+            solve()
+
+
 def test_ridge_single_point_closed_form():
     data = Dataset(np.array([[0.0]]), np.array([2.0]))
     f = fit_kernel_ridge(data, GaussianRBF(1.0), 1.0)
@@ -527,13 +554,20 @@ def test_ridge_logs_the_solve_path(monkeypatch, caplog):
             fit(600, GaussianRBF(0.005), 1.0 / 600),
         ]
 
-    dense, [message], wendland, capped = logged = paths()
-    assert dense == ["dense solve: 512 points, at most 512"]
-    assert message.startswith("low-rank solve: rank ") and message.endswith(" of 1024")
-    assert 0 < int(message.split()[3]) <= 1024 // 8
+    [small], [message], wendland, capped = logged = paths()
+    # one rule at every n: a small Gaussian fit within its cap n // 8 is low-rank too
+    for text, n in ((small, 512), (message, 1024)):
+        assert text.startswith("low-rank solve: rank ") and text.endswith(f" of {n}")
+        assert 0 < int(text.split()[3]) <= n // 8
     assert wendland == ["dense solve: compactly supported kernel"]
     assert capped == ["dense solve: rank cap 75 reached"]
-    # the solver's cutoff is its own: a larger or smaller evaluation block
+    # a small Gaussian fit past its cap is bitwise the dense solve
+    X, y = rng.uniform(0, 1, (64, 1)), rng.normal(size=64)
+    kernel = GaussianRBF(64 ** (-1 / 3))
+    f, messages = _solve_messages(caplog, lambda: fit_kernel_ridge(Dataset(X, y), kernel, 1.0 / 64))
+    assert messages == ["dense solve: rank cap 8 reached"]
+    assert np.array_equal(f.coefficients, erm_mod._dense_solve(kernel, X, 1.0, y, 1.0 / 64))
+    # the solver's rule is its own: a larger or smaller evaluation block
     # than the default moves no fit
     for block in (2**20, 2**12):
         monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", block)
@@ -890,8 +924,13 @@ def test_ranking_fit_logs_the_ridge_solve_path(caplog):
     caplog.set_level(logging.INFO, logger="probdense.erm")
     rng = np.random.default_rng(71)
     data = Dataset(rng.uniform(0, 1, (512, 1)), rng.normal(size=512))
-    _, messages = _solve_messages(caplog, lambda: _fit_ranking(data, GaussianRBF(0.1), 1e-3))
-    assert messages == ["dense solve: 512 points, at most 512"]
+    _, [message] = _solve_messages(caplog, lambda: _fit_ranking(data, GaussianRBF(0.1), 1e-3))
+    assert message.startswith("low-rank solve: rank ") and message.endswith(" of 512")
+    assert 0 < int(message.split()[3]) <= 512 // 8
+    # past the cap n // 8 the ranking fit takes the dense solve
+    data = Dataset(data.inputs[:64], data.outputs[:64])
+    _, messages = _solve_messages(caplog, lambda: _fit_ranking(data, GaussianRBF(64 ** (-1 / 3)), 1.0 / 64))
+    assert messages == ["dense solve: rank cap 8 reached"]
 
 
 def _centred(v):

@@ -380,6 +380,8 @@ def test_capped_psi_metric_bounded_by_twice_ky_fan():
 )
 # two distances above 1 whose random weights sum to 1 + 2.2e-16
 @example(n=2, seed=41, scale=2.0, decimals=None, zero_frac=0.0, negative_zeros=False, weights="random")
+# equal weights at a study's eval size, with ties and -0.0: the plain sort
+@example(n=5120, seed=3, scale=0.5, decimals=2, zero_frac=0.1, negative_zeros=True, weights="uniform")
 def test_ky_fan_closed_form_is_bitwise_the_scan(
     n, seed, scale, decimals, zero_frac, negative_zeros, weights
 ):

@@ -142,6 +142,12 @@ def _config(target, sizes, kernel, sampler, gamma, lam, psi, m, grid, replicates
 @example(IntervalIndicator(0.2, 0.7), [600], "gaussian_rbf", "truncated_gaussian",
          1.0, 1.0, RatioPsi(), 2000, 2001, 1, 5)
 @example(SineWave(2.0), [8, 700], "gaussian_rbf", "uniform", 0.5, 0.3, CappedPsi(), 1500, 1001, 1, 6)
+# the shipped indicator study's n = 256 cells, which take the pivot basis
+# below n = 512, and a Gaussian cell past its rank cap n // 8 (dense, no slack)
+@example(IntervalIndicator(0.0, 0.5), [256], "gaussian_rbf", "uniform",
+         1.0, 1.0, RatioPsi(), 40960, 10001, 3, 20260822)
+@example(IntervalIndicator(0.0, 0.5), [64], "gaussian_rbf", "uniform",
+         1.0, 1.0, RatioPsi(), 2000, 2001, 2, 9)
 # Wendland cells on the sign and sine targets, the largest dense size
 @example(SignStep(0.1), [16, 512], "wendland_c2", "truncated_gaussian",
          1.0, 1.0, RatioPsi(), 2000, 2001, 2, 7)
