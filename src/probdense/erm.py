@@ -59,7 +59,9 @@ _MAX_RANK = 512
 # Dual active-set solves: stop once every KKT violation is at most
 # _KKT_TOL * max(1, max |y|) plus the rounding of f = K alpha; a bound joins
 # the free face only when its Schur complement exceeds _DEPENDENT * k(x, x).
+# A fit counts as converged only if its relative duality gap is at most _GAP_TOL.
 _KKT_TOL = 1e-12
+_GAP_TOL = 1e-6
 _DEPENDENT = 16.0 * np.finfo(float).eps
 
 # cho_factor factors, and _solve_lower substitutes, _BLOCK columns or rows at
@@ -191,8 +193,9 @@ class FitInfo:
     fit_quantile reports its active-set steps, the 2-norm of its KKT
     violations and the relative gap (P - D) / max(P, tol) between the primal
     objective P and the dual D of the returned fit, tol its KKT tolerance,
-    as duality_gap; fit_pairwise, a direct solve, reports 0 steps, its
-    gradient norm and duality_gap None.
+    as duality_gap, and converged only when the KKT violations are within
+    tol and the gap is at most 1e-6; fit_pairwise, a direct solve, reports
+    0 steps, its gradient norm and duality_gap None.
     """
 
     objective: float
@@ -534,13 +537,16 @@ def fit_quantile(data: Dataset, kernel, loss, lam: float) -> tuple[RkhsFunction,
     f = K alpha since sum |alpha_i| <= n / (2 lam n) (it binds only for
     small lam), and gives up after 10 n + 100 steps with a WARNING.
     FitInfo reports the step count as n_iters, the 2-norm of the KKT
-    violations as grad_norm, converged = violations within the tolerance,
-    and the relative duality gap
+    violations as grad_norm, and the relative duality gap
     (1/n) sum (L(r_i) - u_i r_i) / max(objective, tol), each term
     nonnegative, so it carries no cancellation; the KKT tolerance tol is
-    its floor, so an exact fit at a zero optimum does not read 100 %.  K
-    is the only n x n array; the result is deterministic.  One INFO record
-    from probdense.erm gives the step count, the free points and the gap.
+    its floor, so an exact fit at a zero optimum does not read 100 %.
+    converged holds when the violations are within the tolerance and the gap
+    is at most _GAP_TOL = 1e-6; outputs far below the rounding of f = K alpha
+    can meet the first with a gap of several percent, and such a fit logs one
+    WARNING naming the gap, n and lam.  K is the only n x n array; the
+    result is deterministic.  One INFO record from probdense.erm gives the
+    step count, the free points and the gap.
     A solve whose objective exceeds objective_at_zero * (1 + 1e-12), which
     outputs far below the rounding of f = K alpha can leave within the KKT
     tolerance, is replaced by alpha = 0 with a WARNING naming both
@@ -589,17 +595,20 @@ def fit_quantile(data: Dataset, kernel, loss, lam: float) -> tuple[RkhsFunction,
     kkt = np.where(u == hi, -r, np.where(u == lo, r, np.abs(r))).clip(min=0.0)
     gap = weight * float(np.mean(np.where(r >= 0.0, (tau - u) * r, (tau - 1.0 - u) * r)))
     gap = gap / max(objective, tol)
-    converged = bool(kkt.max() <= tol)
-    if not converged:
+    kkt_met = bool(kkt.max() <= tol)
+    if not kkt_met:
         log.warning(
             "dual active-set solve stopped after %d steps with KKT violation %r > %r (n=%d, lam=%r)",
             steps, float(kkt.max()), tol, n, lam,
         )
+    gap_met = gap <= _GAP_TOL
+    if not gap_met:
+        log.warning("duality gap %.3g exceeds %g: fit not certified (n=%d, lam=%r)", gap, _GAP_TOL, n, lam)
     log.info(
         "dual active-set solve: %d steps, %d free points, duality gap %.3g",
         steps, int(np.count_nonzero((u > lo) & (u < hi))), gap,
     )
-    info = FitInfo(objective, objective_at_zero, steps, float(np.hypot.reduce(kkt)), converged, gap)
+    info = FitInfo(objective, objective_at_zero, steps, float(np.hypot.reduce(kkt)), kkt_met and gap_met, gap)
     return f, info
 
 

@@ -36,6 +36,13 @@ from probdense.kernels import pairwise
 # erm's own factor, kept before any test monkeypatches erm.cho_factor
 cho_factor = erm_mod.cho_factor
 
+# fit_quantile's bound on the relative duality gap of a converged fit
+GAP_TOL = 1e-6
+
+
+def _gap_messages(caplog):
+    return [r.getMessage() for r in caplog.records if r.getMessage().startswith("duality gap ")]
+
 
 def separated_problem(rng, n):
     """Perturbed-grid inputs with bandwidth equal to the spacing, a well-conditioned Gram matrix."""
@@ -180,9 +187,13 @@ def test_cli_fit_never_exits_0_with_a_non_finite_objective(tmp_path, capsys, row
     gamma=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_cli_fit_at_every_output_scale_exits_cleanly(tmp_path, capsys, n, scale, loss, tau, lam, gamma, seed):
+def test_cli_fit_at_every_output_scale_exits_cleanly(
+    tmp_path, capsys, caplog, n, scale, loss, tau, lam, gamma, seed
+):
     # a fit succeeds with a finite objective and coefficients, or fails as a
-    # config error (1) or a numerical failure (2): never a traceback or a warning
+    # config error (1) or a numerical failure (2): never a traceback or a
+    # RuntimeWarning; a dual fit prints a certified gap or logs that it is not
+    caplog.clear()
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 1.0, n)
     y = np.clip(rng.normal(size=n) * scale, -1.7e308, 1.7e308)
@@ -201,6 +212,9 @@ def test_cli_fit_at_every_output_scale_exits_cleanly(tmp_path, capsys, n, scale,
         objective = re.search(r"objective (\S+?)[,)]", printed.out)
         assert loss == "squared" or np.isfinite(float(objective.group(1)))
         assert np.all(np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)))
+        gap = re.search(r"duality gap (\S+) after", printed.out)
+        assert (gap is None) == (loss in ("squared", "ranking_squared"))
+        assert gap is None or float(gap.group(1)) <= GAP_TOL or _gap_messages(caplog)
     else:
         assert not out.exists()
 
@@ -814,26 +828,47 @@ def test_fit_quantile_zero_outputs_give_zero_function():
     assert info.objective <= 1e-12
 
 
+def _fit_scaled_sine(seed, scale):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0, 1, 50)
+    y = scale * (np.sin(6.0 * x) + 0.1 * rng.normal(size=50))
+    return fit_quantile(Dataset(x[:, None], y), GaussianRBF(0.2), PinballLoss(0.3), 1e-3)
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-9, 1e-12, 1e-20])
 def test_fit_quantile_is_never_worse_than_the_zero_function(caplog, scale):
     # the KKT tolerance is absolute, so outputs far below the rounding of
     # f = K alpha pass it with an objective above the zero function's; such a
-    # solve is replaced by alpha = 0, and converged then holds for alpha = 0
-    rng = np.random.default_rng(83)
-    x = rng.uniform(0, 1, 50)
-    y = scale * (np.sin(6.0 * x) + 0.1 * rng.normal(size=50))
+    # solve is replaced by alpha = 0, and FitInfo then describes alpha = 0
     caplog.set_level(logging.WARNING, logger="probdense.erm")
-    f, info = fit_quantile(Dataset(x[:, None], y), GaussianRBF(0.2), PinballLoss(0.3), 1e-3)
-    assert info.converged
+    f, info = _fit_scaled_sine(83, scale)
     assert info.objective <= info.objective_at_zero * (1.0 + 1e-12)
     messages = [r.getMessage() for r in caplog.records]
+    fallback = [m for m in messages if m.startswith("dual active-set solve gave objective ")]
+    gap_messages = _gap_messages(caplog)
+    assert len(messages) == len(fallback) + len(gap_messages)  # no KKT failure
+    assert info.converged == (info.duality_gap <= GAP_TOL) == (gap_messages == [])
     if scale > 1e-12:
-        assert messages == [] and f.coefficients.any()
+        assert fallback == [] and f.coefficients.any()
     elif scale < 1e-12:
-        [message] = messages
-        assert message.startswith("dual active-set solve gave objective ")
+        [message] = fallback
         assert f" above {info.objective_at_zero!r}, the objective at alpha = 0; returning alpha = 0 " in message
         assert not f.coefficients.any() and info.objective == info.objective_at_zero
+
+
+@pytest.mark.parametrize(
+    "scale, certified",
+    [(1.0, True), (1e-5, True), (1e-10, False), (1e-11, False), (1e-12, False), (1e-15, False), (1e-20, True)],
+)
+def test_fit_quantile_converged_certifies_the_duality_gap(caplog, scale, certified):
+    # between about 1e-9 and 1e-15 the outputs pass the absolute KKT
+    # tolerance with relative gaps up to 11 %: such a fit is not converged,
+    # and one WARNING names its gap, n and lam
+    caplog.set_level(logging.WARNING, logger="probdense.erm")
+    _, info = _fit_scaled_sine(0, scale)
+    assert info.converged == certified == (info.duality_gap <= GAP_TOL)
+    expected = f"duality gap {info.duality_gap:.3g} exceeds 1e-06: fit not certified (n=50, lam=0.001)"
+    assert _gap_messages(caplog) == ([] if certified else [expected])
 
 
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 3.0])
