@@ -11,8 +11,7 @@ Grammar (diff-friendly, line oriented):
 One table per section maps each key to its value parser, dataclass field
 and variant; one reader applies them, and defaults and range checks live in
 the dataclasses.  Errors carry ``path:line``; unknown keys suggest a key one
-edit away.  format_study_config writes from the same table, so parse ->
-format -> parse is the identity for study configs.
+edit away.
 """
 
 from __future__ import annotations
@@ -27,14 +26,13 @@ from .denseness import _SAMPLERS, _TARGETS, StudyConfig
 from .erm import _LOSSES, _check_lam
 from .kernels import _KERNEL_FAMILIES
 from .metrics import _PSI_KINDS, _psi_grid
-from .util import ConfigError, _fmt
+from .util import ConfigError
 
 __all__ = [
     "parse_study_config",
     "parse_fit_config",
     "parse_kernel_eval_config",
     "parse_psi_config",
-    "format_study_config",
     "FitJob",
     "KernelEvalJob",
     "PsiJob",
@@ -262,31 +260,6 @@ def _build(path, cls, found, line=None, what=None, **objects):
 def parse_study_config(path) -> StudyConfig:
     """Parse and validate a [study]/[kernel]/[schedule] config file."""
     return _build(path, StudyConfig, _read(path, _STUDY, _STUDY_OBJECTS))
-
-
-def format_study_config(cfg: StudyConfig) -> str:
-    """Canonical text of a study config: every key of the parser's table that applies."""
-    def text(value) -> str:  # the inverse of the key's parser
-        if isinstance(value, tuple):
-            return (" ; " if isinstance(value[0], tuple) else " ").join(map(text, value))
-        return _fmt(value) if isinstance(value, float) else str(value)
-
-    chosen, parts = {}, []
-    for section, table in _STUDY.items():
-        lines = [f"[{section}]"]
-        for key, spec in table.items():
-            owner, _, choice = spec.variant.partition(" = ")
-            if choice and chosen[owner] != choice:
-                continue
-            holder = getattr(cfg, table[owner].field) if owner in _STUDY_OBJECTS else cfg
-            value = getattr(holder, spec.field)
-            if key in _STUDY_OBJECTS:
-                value = next(n for n, c in _STUDY_OBJECTS[key][0].items() if c is type(value))
-            chosen[key] = value
-            if value is not None:
-                lines.append(f"{key} = {text(value)}")
-        parts.append("\n".join(lines))
-    return "\n\n".join(parts) + "\n"
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,8 +3,8 @@
 The lab draws growing training samples from a 1-D input distribution,
 fits kernel ridge approximants under shrinking bandwidth and penalty
 schedules, and measures the gap to the target in four ways: integrated-psi
-metric, Ky Fan metric, empirical L^1 gap, and the sup gap on a dense grid
-that straddles every jump of the target.  Probability metrics shrink for
+metric, Ky Fan metric, empirical L^1 gap, and the sup gap on a uniform
+grid plus every jump point of the target.  Probability metrics shrink for
 discontinuous targets while the sup gap stays pinned near the jump height;
 a continuous control target shows the sup gap shrinking too.
 
@@ -39,7 +39,6 @@ __all__ = [
     "ConvergenceReport",
     "RiskCheckResult",
     "fit_approximant",
-    "sup_gap_estimate",
     "run_study",
     "risk_convergence_check",
 ]
@@ -322,6 +321,7 @@ class StudyConfig:
         if size < 1:
             raise ValueError(f"eval_sample_size must be >= 1, got {size}")
         object.__setattr__(self, "eval_sample_size", size)
+        object.__setattr__(self, "grid_resolution", int(self.grid_resolution))
         if self.grid_resolution < 2:
             raise ValueError(f"grid_resolution must be >= 2, got {self.grid_resolution}")
         if self.sampler not in _SAMPLERS:
@@ -399,28 +399,13 @@ def fit_approximant(target, n: int, kernel, lam: float, sampler, rng) -> object:
 
 
 def _sup_grid(target, grid_resolution: int) -> np.ndarray:
-    """A uniform grid on target.domain plus jump straddles, as (points, 1).
+    """A uniform grid on target.domain plus the target's jump points, as (points, 1).
 
-    For every location j in target.discontinuities the points j - h, j,
-    j + h are added, h one grid spacing, so a genuine jump cannot slip
-    between grid nodes.
+    A jump that falls between grid nodes is still sampled at the jump point itself.
     """
     low, high = target.domain
-    if grid_resolution < 2:
-        raise ValueError(f"grid_resolution must be >= 2, got {grid_resolution}")
-    grid = np.linspace(low, high, int(grid_resolution))
-    h = (high - low) / (int(grid_resolution) - 1)
-    extras = [np.asarray([j - h, j, j + h]) for j in target.discontinuities]
-    pts = np.concatenate([grid] + extras) if extras else grid
-    return np.clip(pts, low, high)[:, None]
-
-
-def sup_gap_estimate(target, g, grid_resolution: int) -> float:
-    """Max |target - g| over the points of _sup_grid(target, grid_resolution)."""
-    pts = _sup_grid(target, grid_resolution)
-    fv = np.asarray(target(pts), dtype=float)
-    gv = np.asarray(g(pts), dtype=float)
-    return float(np.abs(fv - gv).max())
+    grid = np.linspace(low, high, grid_resolution)
+    return np.concatenate([grid, target.discontinuities])[:, None]
 
 
 def _study_cell(cfg: StudyConfig, sampler, n: int, rep: int, kernel, lam: float) -> StudyCell:

@@ -464,8 +464,11 @@ def _dual_active_set(K: np.ndarray, y: np.ndarray, tau: float, scale: float, tol
     along the null direction of K_F,j to the first bound met instead, where
     the objective falls linearly.  f follows each step through the changed
     rows of K and is recomputed from u before the solve may stop, once every
-    violation is at most tol, or after 10 n + 100 steps.  A step scale * p
-    that overflows raises NumericalError naming n and lam.
+    violation is at most tol, or after 10 n + 100 steps.  At the first of
+    these stops one solve by the face's factor sets the free duals,
+    u_F = scale K_FF^-1 (y_F - K_FB u_B / scale), which drops the rounding
+    the steps left on them.  A step scale * p that overflows raises
+    NumericalError naming n and lam.
     """
     lo, hi = tau - 1.0, tau
     u = np.where(y > np.quantile(y, tau), hi, lo)
@@ -486,7 +489,11 @@ def _dual_active_set(K: np.ndarray, y: np.ndarray, tau: float, scale: float, tol
             j = int(np.argmax(violation))
             if violation[j] <= tol:
                 if fresh:
-                    break
+                    u_bound = u.copy()
+                    u_bound[free] = 0.0
+                    b = y[free] - K[free] @ (u_bound / scale)
+                    u[free] = scale * _solve_lower(L, _solve_lower(L, b), trans=True)
+                    return u, steps
                 f, fresh = K @ (u / scale), True
                 continue
             steps += 1

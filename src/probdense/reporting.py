@@ -11,12 +11,10 @@ manifest.
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
 from pathlib import Path
 
 from . import __version__
-from .config import format_study_config
 from .denseness import _METRICS, ConvergenceReport, StudyCell
 from .util import ConfigError, _fmt
 
@@ -46,21 +44,13 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def emit_report(
-    report: ConvergenceReport,
-    out_path,
-    seed_source: str = "config",
-    config_sha256: str | None = None,
-) -> None:
+def emit_report(report: ConvergenceReport, out_path, seed_source: str, config_sha256: str) -> None:
     """Write the report CSV to out_path and the manifest next to it.
 
-    config_sha256 defaults to the hash of the canonical config text;
-    the CLI passes the hash of the raw config file bytes instead.
-    Serializing the same report twice yields byte-identical files.
+    The manifest records the seed's source ("config" or "override") and the
+    config file's sha256.  Serializing the same report twice yields
+    byte-identical files.
     """
-    if config_sha256 is None:
-        canonical = format_study_config(report.config)
-        config_sha256 = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     _write_csv(
         out_path,
         CSV_HEADER,

@@ -30,7 +30,6 @@ from probdense.config import (
     FitJob,
     KernelEvalJob,
     PsiJob,
-    format_study_config,
     parse_fit_config,
     parse_kernel_eval_config,
     parse_study_config,
@@ -110,6 +109,28 @@ def test_every_config_key_fills_a_field():
 
 
 def test_study_config_round_trip(tmp_path):
+    text = """\
+[study]
+target = piecewise
+pieces = 0.0 0.2 1.0 ; 0.4 0.6 -2.0
+domain = 0.0 1.0
+sample_sizes = 8 32
+replicates = 2
+seed = 9
+psi = custom
+psi_grid_x = 0.0 1.0 5.0
+psi_grid_y = 0.0 0.6 0.9
+eval_sample_size = 100
+grid_resolution = 501
+sampler = truncated_gaussian
+
+[kernel]
+family = wendland_c2
+
+[schedule]
+gamma_coeff = 0.7
+lambda_coeff = 2.5
+"""
     cfg = StudyConfig(
         target=PiecewiseConstant(((0.0, 0.2, 1.0), (0.4, 0.6, -2.0))),
         sample_sizes=(8, 32),
@@ -123,7 +144,6 @@ def test_study_config_round_trip(tmp_path):
         grid_resolution=501,
         sampler="truncated_gaussian",
     )
-    text = format_study_config(cfg)
     assert parse_study_config(write(tmp_path, text)) == cfg
 
 
@@ -131,64 +151,103 @@ fractions = st.floats(0.0, 1.0)
 positive = st.floats(1e-3, 1e3)
 
 
+def _values(values) -> str:
+    """A list value as config text; repr writes every float so that it reads back bitwise."""
+    return " ".join(map(repr, values))
+
+
 @st.composite
-def study_configs(draw):
-    """Valid StudyConfigs over every target, psi kind, sampler and kernel family."""
+def study_files(draw):
+    """(text, cfg): a study config file, written key by key, and the StudyConfig it describes.
+
+    Covers every target, psi kind, sampler and kernel family; a domain or an
+    eval_sample_size that is not drawn is left out, so the file takes the default.
+    """
     kind = draw(st.sampled_from(["indicator", "piecewise", "sign", "sine"]))
+    lines = ["[study]", f"target = {kind}"]
     low, high = (-1.0, 1.0) if kind == "sign" else (0.0, 1.0)
     kw = {}
     if draw(st.booleans()):
         low = draw(st.floats(-10.0, 10.0))
         high = low + draw(st.floats(0.1, 10.0))
         kw["domain"] = (low, high)
+        lines.append(f"domain = {_values((low, high))}")
     at = lambda t: min(high, low + t * (high - low))
     try:
         if kind == "indicator":
-            a, b = sorted(draw(st.lists(fractions, min_size=2, max_size=2)))
-            target = IntervalIndicator(at(a), at(b), **kw)
+            a, b = sorted(at(t) for t in draw(st.lists(fractions, min_size=2, max_size=2)))
+            target = IntervalIndicator(a, b, **kw)
+            lines += [f"lower = {a!r}", f"upper = {b!r}"]
         elif kind == "piecewise":
             k = draw(st.integers(1, 3))
             ends = sorted(draw(st.lists(fractions, min_size=2 * k, max_size=2 * k, unique=True)))
             levels = draw(st.lists(st.floats(-5.0, 5.0), min_size=k, max_size=k))
             pieces = tuple((at(ends[2 * i]), at(ends[2 * i + 1]), levels[i]) for i in range(k))
             target = PiecewiseConstant(pieces, **kw)
+            lines.append(f"pieces = {' ; '.join(map(_values, pieces))}")
         elif kind == "sign":
-            target = SignStep(at(draw(fractions)), **kw)
+            offset = at(draw(fractions))
+            target = SignStep(offset, **kw)
+            lines.append(f"offset = {offset!r}")
         else:
-            target = SineWave(draw(positive), **kw)
+            frequency = draw(positive)
+            target = SineWave(frequency, **kw)
+            lines.append(f"frequency = {frequency!r}")
     except ValueError:
         assume(False)
+    sizes = tuple(sorted(draw(st.lists(st.integers(1, 5000), min_size=1, max_size=5, unique=True))))
+    replicates = draw(st.integers(1, 10))
+    seed = draw(st.integers(0, 2**63 - 1))
+    lines += [f"sample_sizes = {_values(sizes)}", f"replicates = {replicates}", f"seed = {seed}"]
     psi_kind = draw(st.sampled_from(["ratio", "capped", "custom"]))
+    lines.append(f"psi = {psi_kind}")
     if psi_kind == "custom":
         steps = draw(st.lists(st.floats(0.01, 5.0), min_size=1, max_size=5))
         grid_x = tuple(np.cumsum([0.0] + steps).tolist())
         grid_y = tuple(draw(st.lists(fractions, min_size=len(grid_x), max_size=len(grid_x))))
         assume(all(b > a for a, b in zip(grid_x, grid_x[1:])))
         psi = TabulatedPsi(grid_x, grid_y)
+        lines += [f"psi_grid_x = {_values(grid_x)}", f"psi_grid_y = {_values(grid_y)}"]
     else:
         psi = RatioPsi() if psi_kind == "ratio" else CappedPsi()
+    eval_sample_size = draw(st.none() | st.integers(1, 10**6))
+    if eval_sample_size is not None:
+        lines.append(f"eval_sample_size = {eval_sample_size}")
+    grid_resolution = draw(st.integers(2, 20001))
     sampler = draw(st.sampled_from(["uniform", "truncated_gaussian"]))
-    sizes = sorted(draw(st.lists(st.integers(1, 5000), min_size=1, max_size=5, unique=True)))
-    return StudyConfig(
+    family = draw(st.sampled_from(["gaussian_rbf", "wendland_c2"]))
+    gamma_coeff, lambda_coeff = draw(positive), draw(positive)
+    lines += [
+        f"grid_resolution = {grid_resolution}",
+        f"sampler = {sampler}",
+        "[kernel]",
+        f"family = {family}",
+        "[schedule]",
+        f"gamma_coeff = {gamma_coeff!r}",
+        f"lambda_coeff = {lambda_coeff!r}",
+    ]
+    cfg = StudyConfig(
         target=target,
-        sample_sizes=tuple(sizes),
-        seed=draw(st.integers(0, 2**63 - 1)),
-        replicates=draw(st.integers(1, 10)),
-        kernel_family=draw(st.sampled_from(["gaussian_rbf", "wendland_c2"])),
-        gamma_coeff=draw(positive),
-        lambda_coeff=draw(positive),
+        sample_sizes=sizes,
+        seed=seed,
+        replicates=replicates,
+        kernel_family=family,
+        gamma_coeff=gamma_coeff,
+        lambda_coeff=lambda_coeff,
         psi=psi,
-        eval_sample_size=draw(st.none() | st.integers(1, 10**6)),
-        grid_resolution=draw(st.integers(2, 20001)),
+        eval_sample_size=eval_sample_size,
+        grid_resolution=grid_resolution,
         sampler=sampler,
     )
+    return "\n".join(lines) + "\n", cfg
 
 
 @settings(max_examples=200, deadline=None)
-@given(cfg=study_configs())
-def test_format_then_parse_is_the_identity(tmp_path_factory, cfg):
+@given(case=study_files())
+def test_format_then_parse_is_the_identity(tmp_path_factory, case):
+    text, cfg = case
     path = tmp_path_factory.mktemp("roundtrip") / "study.ini"
-    path.write_text(format_study_config(cfg), encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     assert parse_study_config(path) == cfg
 
 
@@ -470,16 +529,8 @@ def test_cli_does_not_import_scipy_stats(tmp_path):
     assert run.returncode == 0, run.stderr
 
 
-def test_study_output_does_not_depend_on_the_blas_thread_count(tmp_path):
-    # d_psi sums 20 000 weighted terms; a BLAS dot splits a sum that long
-    # across its threads, so its rounding depended on their number.  On a
-    # host with one CPU OpenBLAS may not split it, and then this test
-    # cannot see that defect.
-    cfg = write(
-        tmp_path,
-        "[study]\ntarget = indicator\nlower = 0.0\nupper = 0.5\nsample_sizes = 16 32\n"
-        "replicates = 4\nseed = 11\neval_sample_size = 20000\ngrid_resolution = 101\n",
-    )
+def _outputs_under_one_and_two_threads(tmp_path, command, cfg):
+    """The --out file and manifest bytes of one CLI run per BLAS thread count, 1 and 2."""
     src = str(Path(probdense.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
@@ -488,7 +539,7 @@ def test_study_output_does_not_depend_on_the_blas_thread_count(tmp_path):
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         run = subprocess.run(
             [sys.executable, "-c", "import sys; from probdense.cli import main; sys.exit(main(sys.argv[1:]))",
-             "study", "--config", str(cfg), "--out", str(out)],
+             command, "--config", str(cfg), "--out", str(out)],
             env=env,
             capture_output=True,
             text=True,
@@ -496,7 +547,43 @@ def test_study_output_does_not_depend_on_the_blas_thread_count(tmp_path):
         )
         assert run.returncode == 0, run.stderr
         outputs.append((out.read_bytes(), Path(str(out) + ".manifest.txt").read_bytes()))
-    assert outputs[0] == outputs[1]
+    return outputs
+
+
+def test_study_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # d_psi sums 20 000 weighted terms; a BLAS dot splits a sum that long
+    # across its threads, so its rounding depended on their number.  On a
+    # host with one CPU OpenBLAS may not split it, and then this test
+    # cannot see that defect.
+    gaussian = (
+        "[study]\ntarget = indicator\nlower = 0.0\nupper = 0.5\nsample_sizes = 16 32\n"
+        "replicates = 4\nseed = 11\neval_sample_size = 20000\ngrid_resolution = 101\n"
+    )
+    # at n = 256 the dense Cholesky of a Wendland fit takes the gemm updates
+    # of its 64-column blocks
+    wendland = (
+        "[study]\ntarget = piecewise\npieces = 0.1 0.25 1.0 ; 0.4 0.6 -0.5\n"
+        "sample_sizes = 64 256\nreplicates = 2\nseed = 11\ngrid_resolution = 101\n"
+        "sampler = truncated_gaussian\n[kernel]\nfamily = wendland_c2\n"
+    )
+    for name, text in (("gaussian", gaussian), ("wendland", wendland)):
+        (tmp_path / name).mkdir()
+        cfg = write(tmp_path / name, text)
+        one, two = _outputs_under_one_and_two_threads(tmp_path / name, "study", cfg)
+        assert one == two, name
+
+
+@pytest.mark.parametrize(
+    "loss", ["squared", "pinball\ntau = 0.9", "ranking_squared"], ids=["ridge", "dual", "pairwise"]
+)
+def test_fit_output_does_not_depend_on_the_blas_thread_count(tmp_path, loss):
+    rng = np.random.default_rng(3)
+    x = rng.uniform(0.0, 1.0, 400)
+    data = tmp_path / "d.csv"
+    np.savetxt(data, np.column_stack([x, np.sin(6.0 * x) + 0.3 * rng.normal(size=400)]), delimiter=",")
+    text = f"[fit]\ndata = {data}\nloss = {loss}\nlambda = 1e-3\n[kernel]\ngamma = 0.2\n"
+    one, two = _outputs_under_one_and_two_threads(tmp_path, "fit", write(tmp_path, text))
+    assert one == two
 
 
 def test_cli_seed_override_recorded(tmp_path):

@@ -30,7 +30,6 @@ from probdense import (
     fit_kernel_ridge,
     risk_convergence_check,
     run_study,
-    sup_gap_estimate,
     truncated_gaussian_sampler,
     uniform_sampler,
 )
@@ -259,11 +258,18 @@ def test_config_defaults():
         dict(seed=-1),
         dict(lambda_coeff=float("nan")),
         dict(sampler="gaussian"),
+        dict(lambda_coeff=0.0),
     ],
 )
 def test_config_validation(kw):
     with pytest.raises(ValueError):
         tiny_config(**kw)
+
+
+def test_zero_gamma_coeff_is_rejected_before_the_kernel_sees_it():
+    # the kernel's own bandwidth check would raise too, with its own message
+    with pytest.raises(ValueError, match="gamma_coeff must be positive, got 0.0"):
+        tiny_config(gamma_coeff=0.0)
 
 
 def test_fit_approximant_zero_target_gives_zero_function():
@@ -327,32 +333,43 @@ def test_pivot_basis_cells_are_logged(caplog):
     assert n == "1024" and 0 < int(rank) <= 1024 // 8 and float(bound) > 0.0
 
 
+def grid_sup_gap(target, g, grid_resolution):
+    """The sup gap's definition: max |target - g| over _sup_grid(target, grid_resolution)."""
+    pts = denseness_mod._sup_grid(target, grid_resolution)
+    return float(np.abs(target(pts) - g(pts)).max())
+
+
 def test_sup_gap_of_target_with_itself_is_zero():
     f = IntervalIndicator(0.1, 0.6)
-    assert sup_gap_estimate(f, f, 101) == 0.0
+    assert grid_sup_gap(f, f, 101) == 0.0
 
 
 def test_sup_gap_against_constant_half():
     f = IntervalIndicator(0.0, 0.5)
     g = lambda X: np.full(X.shape[0], 0.5)
-    assert sup_gap_estimate(f, g, 101) == 0.5
+    assert grid_sup_gap(f, g, 101) == 0.5
 
 
-def test_sup_gap_straddle_catches_jump_between_grid_nodes():
+def test_sup_grid_catches_jump_between_grid_nodes():
     # the jump at 0.45 sits between the 11 grid nodes; an interpolant that
-    # matches every node exactly only gets caught by the straddle points
+    # matches every node exactly only gets caught at the jump point itself
     f = IntervalIndicator(0.0, 0.45)
     nodes = np.linspace(0.0, 1.0, 11)
     node_vals = f(nodes[:, None])
     g = lambda X: np.interp(X[:, 0], nodes, node_vals)
     assert np.array_equal(g(nodes[:, None]), node_vals)
-    assert sup_gap_estimate(f, g, 11) == pytest.approx(0.5, abs=1e-9)
+    pts = denseness_mod._sup_grid(f, 11)
+    assert np.array_equal(pts[:, 0], np.append(nodes, [0.0, 0.45]))
+    assert grid_sup_gap(f, g, 11) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_sup_gap_validation():
-    f = IntervalIndicator(0.0, 0.5)
-    with pytest.raises(ValueError):
-        sup_gap_estimate(f, f, 1)
+    # the grid needs both ends of the domain; StudyConfig checks it
+    with pytest.raises(ValueError, match="grid_resolution must be >= 2, got 1"):
+        tiny_config(grid_resolution=1)
+    # a float resolution is taken as an int, as eval_sample_size is
+    cfg = tiny_config(grid_resolution=51.0, sample_sizes=(4,))
+    assert cfg.grid_resolution == 51 and not run_study(cfg).partial
 
 
 def test_run_study_shape_and_determinism():
@@ -381,16 +398,16 @@ def test_study_cell_evaluates_the_fit_once(monkeypatch):
 
     monkeypatch.setattr(rkhs_mod, "kernel_matvec", counted)
     report = run_study(cfg)
-    grid = 51 + 3 * len(cfg.target.discontinuities)
+    grid = 51 + len(cfg.target.discontinuities)
     assert rows == [32 + grid] * len(report.cells)
     # 1-D Wendland values do not depend on the batch: the grid's part of the
-    # one evaluation gives sup_gap_estimate's value bitwise
+    # one evaluation gives the sup gap's definition bitwise
     monkeypatch.setattr(rkhs_mod, "kernel_matvec", real)
     sampler = uniform_sampler(cfg.target.domain)
     for cell in report.cells:
         rng = derive_rng(cfg.seed, 8, cell.replicate, "train")
         fitted = fit_approximant(cfg.target, 8, cfg.kernel_for(8), cfg.penalty_for(8), sampler, rng)
-        assert cell.sup_gap == sup_gap_estimate(cfg.target, fitted, cfg.grid_resolution)
+        assert cell.sup_gap == grid_sup_gap(cfg.target, fitted, cfg.grid_resolution)
 
 
 WENDLAND_STUDY = Path(__file__).parent / "data" / "wendland_study.json"
@@ -484,7 +501,7 @@ def test_report_csv_round_trips_cells(tmp_path):
     failed = StudyCell(n=8, replicate=0, **nans, error="boom")
     report = ConvergenceReport(tiny_config(), (*good, failed))
     out = tmp_path / "r.csv"
-    emit_report(report, out)
+    emit_report(report, out, "config", "0" * 64)
     back = read_report_csv(out)
     # repr compares floats bitwise and nan equal to nan; the error text is in the manifest
     assert [repr(astuple(c)) for c in back] == [

@@ -143,6 +143,8 @@ def test_decreasing_table_fails_monotonicity():
     report = validate_psi(psi, grid_max=2.0, grid_n=50)
     assert not report.passed
     assert any("decreases" in msg for msg in report.failures)
+    # on the grid 0, 0.5, ..., 2 the first drop is between 1.0 and 1.5
+    assert "psi decreases between 1.0 and 1.5" in validate_psi(psi, 2.0, 5).failures
 
 
 def test_validate_psi_bad_grid_arguments():

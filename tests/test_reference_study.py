@@ -72,10 +72,8 @@ def _reference_cell(cfg, n, rep):
     Xe = _draw(cfg.sampler, target.domain, eval_rng, cfg.eval_sample_size)
     d = np.abs(target(Xe) - _kernel_matrix(family, bandwidth, Xe, X) @ alpha)
     low, high = target.domain
-    h = (high - low) / (cfg.grid_resolution - 1)
-    straddles = [v for j in target.discontinuities for v in (j - h, j, j + h)]
-    grid = np.concatenate([np.linspace(low, high, cfg.grid_resolution), straddles])
-    grid = np.clip(grid, low, high)[:, None]
+    grid = np.linspace(low, high, cfg.grid_resolution)
+    grid = np.concatenate([grid, target.discontinuities])[:, None]
     sup_gap = np.abs(target(grid) - _kernel_matrix(family, bandwidth, grid, X) @ alpha).max()
     weights = np.full(d.size, 1.0 / d.size)
     l1_gap = d.mean()
